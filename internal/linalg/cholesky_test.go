@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -259,6 +260,31 @@ func TestMinDegreeBoundsHubFill(t *testing.T) {
 	}
 	if limit := 4 * s.NNZ(); f.NNZ() > limit {
 		t.Fatalf("minimum-degree fill too high: nnz(L)=%d, nnz(A)=%d", f.NNZ(), s.NNZ())
+	}
+}
+
+// TestMinDegreeDeterministic pins that the ordering depends only on
+// the matrix: map iteration order differs on every call, so repeated
+// orderings of one grid Laplacian would disagree if it leaked into the
+// elimination order.
+func TestMinDegreeDeterministic(t *testing.T) {
+	s := gridLaplacian(32, 32)
+	want := MinDegree(s)
+	f, err := FactorCholesky(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if got := MinDegree(s); !slices.Equal(got, want) {
+			t.Fatalf("ordering %d differs from the first", i)
+		}
+		g, err := FactorCholesky(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NNZ() != f.NNZ() {
+			t.Fatalf("factorization %d has nnz(L)=%d, the first %d", i, g.NNZ(), f.NNZ())
+		}
 	}
 }
 

@@ -12,6 +12,13 @@ package linalg
 // hubs keep a high degree until the very end, so the sparse bulk of the
 // grid is eliminated first and the dense-ish clique that remains is only
 // a few nodes wide. This is the default ordering for FactorCholesky.
+//
+// The ordering is a pure function of s's sparsity pattern: the heap
+// orders (degree, vertex) totally, with degree ties going to the higher
+// vertex id, so map iteration order never reaches the elimination order
+// and every process factors a given matrix identically. (Of the two id
+// tie-breaks, the higher id leaves less fill on the 16×16 grid models
+// of the paper's stacks.)
 func MinDegree(s *Sparse) []int {
 	n := s.N
 	adj := make([]map[int]struct{}, n)
@@ -27,15 +34,17 @@ func MinDegree(s *Sparse) []int {
 		}
 	}
 
-	// Lazy binary min-heap of (degree, vertex); stale entries are skipped
-	// when their recorded degree no longer matches.
+	// Lazy binary min-heap of (degree, vertex), ordered by degree, then
+	// descending vertex id; stale entries are skipped when their recorded
+	// degree no longer matches.
 	type hnode struct{ deg, v int }
+	less := func(a, b hnode) bool { return a.deg < b.deg || (a.deg == b.deg && a.v > b.v) }
 	heap := make([]hnode, 0, 2*n)
 	push := func(h hnode) {
 		heap = append(heap, h)
 		for i := len(heap) - 1; i > 0; {
 			p := (i - 1) / 2
-			if heap[p].deg <= heap[i].deg {
+			if !less(heap[i], heap[p]) {
 				break
 			}
 			heap[p], heap[i] = heap[i], heap[p]
@@ -50,10 +59,10 @@ func MinDegree(s *Sparse) []int {
 		for i := 0; ; {
 			l, r := 2*i+1, 2*i+2
 			m := i
-			if l < last && heap[l].deg < heap[m].deg {
+			if l < last && less(heap[l], heap[m]) {
 				m = l
 			}
-			if r < last && heap[r].deg < heap[m].deg {
+			if r < last && less(heap[r], heap[m]) {
 				m = r
 			}
 			if m == i {

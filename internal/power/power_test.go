@@ -335,8 +335,15 @@ func TestEnergyMeter(t *testing.T) {
 	if math.Abs(e.AveragePowerW()-Total(pv)) > 1e-9 {
 		t.Errorf("AveragePowerW = %g, want %g", e.AveragePowerW(), Total(pv))
 	}
-	if e.ByKindJ(floorplan.KindCore) <= 0 {
-		t.Error("no core energy recorded")
+	// TotalJ is exactly Σ p·dt over the same inputs, in block order.
+	exact := 0.0
+	for range 2 {
+		for _, p := range pv {
+			exact += p * 0.1
+		}
+	}
+	if e.TotalJ() != exact {
+		t.Errorf("TotalJ = %v, want exactly %v", e.TotalJ(), exact)
 	}
 	if e.ElapsedS() != 0.2 {
 		t.Errorf("elapsed = %g, want 0.2", e.ElapsedS())

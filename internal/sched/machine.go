@@ -33,7 +33,7 @@ type Machine struct {
 	nowS           float64
 
 	queues    [][]*QueuedJob
-	completed []*QueuedJob
+	completed completions
 	// idleSinceS tracks, per core, when the queue last became empty
 	// (used by the DPM fixed-timeout policy). A busy core has -1.
 	idleSinceS []float64
@@ -46,13 +46,21 @@ type Machine struct {
 	pool []*QueuedJob
 }
 
+// completions holds running sums over finished jobs, added in
+// completion order so ComputeStats equals a pass over the completion
+// history bitwise without keeping that history.
+type completions struct {
+	count                         int
+	responseS, serviceS, slowdown float64
+}
+
 // MachineState is a value snapshot of a Machine's mutable state: the
-// per-core queues flattened into one job vector, the completed list,
-// and the clock/idle bookkeeping. Save reuses the state's slices, and
-// Load reuses the machine's existing job allocations, so a
-// Save/Load cycle is allocation-bounded after warm-up. A state saved
-// from one machine may only be loaded into a machine with the same
-// core count.
+// per-core queues flattened into one job vector, the completion sums,
+// and the clock/idle bookkeeping. Its size is O(queued jobs), not
+// O(run length). Save reuses the state's slices, and Load reuses the
+// machine's existing job allocations, so a Save/Load cycle is
+// allocation-bounded after warm-up. A state saved from one machine
+// may only be loaded into a machine with the same core count.
 type MachineState struct {
 	NowS            float64
 	TotalMigrations int
@@ -61,7 +69,7 @@ type MachineState struct {
 	// contents concatenated in core order, head first.
 	QueueLens []int
 	Queued    []QueuedJob
-	Completed []QueuedJob
+	completed completions
 }
 
 // Save captures the machine's mutable state into s, reusing s's
@@ -78,10 +86,7 @@ func (m *Machine) Save(s *MachineState) {
 			s.Queued = append(s.Queued, *j)
 		}
 	}
-	s.Completed = s.Completed[:0]
-	for _, j := range m.completed {
-		s.Completed = append(s.Completed, *j)
-	}
+	s.completed = m.completed
 }
 
 // Load restores the machine's mutable state from s. Existing QueuedJob
@@ -96,7 +101,6 @@ func (m *Machine) Load(s *MachineState) error {
 	for _, q := range m.queues {
 		m.pool = append(m.pool, q...)
 	}
-	m.pool = append(m.pool, m.completed...)
 	alloc := func(v QueuedJob) *QueuedJob {
 		if n := len(m.pool); n > 0 {
 			j := m.pool[n-1]
@@ -110,6 +114,7 @@ func (m *Machine) Load(s *MachineState) error {
 	}
 	m.nowS = s.NowS
 	m.totalMigrations = s.TotalMigrations
+	m.completed = s.completed
 	copy(m.idleSinceS, s.IdleSinceS)
 	pos := 0
 	for c := 0; c < m.numCores; c++ {
@@ -122,10 +127,6 @@ func (m *Machine) Load(s *MachineState) error {
 	}
 	if pos != len(s.Queued) {
 		return fmt.Errorf("sched: state queue lengths sum to %d but %d jobs saved", pos, len(s.Queued))
-	}
-	m.completed = m.completed[:0]
-	for i := range s.Completed {
-		m.completed = append(m.completed, alloc(s.Completed[i]))
 	}
 	return nil
 }
@@ -378,7 +379,11 @@ func (m *Machine) AdvanceInto(utils []float64, dt float64, speed []float64) erro
 						if j.RemainingS <= 1e-12 {
 							j.RemainingS = 0
 							j.CompletionS = done
-							m.completed = append(m.completed, j)
+							r := done - j.Job.ArrivalS
+							m.completed.count++
+							m.completed.responseS += r
+							m.completed.serviceS += j.Job.WorkS
+							m.completed.slowdown += r / j.Job.WorkS
 						} else {
 							remaining = append(remaining, j)
 						}
@@ -409,28 +414,18 @@ func (m *Machine) AdvanceInto(utils []float64, dt float64, speed []float64) erro
 	return nil
 }
 
-// Completed returns the finished jobs (in completion order).
-func (m *Machine) Completed() []*QueuedJob { return m.completed }
-
 // TotalMigrations returns the count of job moves performed.
 func (m *Machine) TotalMigrations() int { return m.totalMigrations }
 
 // ComputeStats summarizes the completed jobs.
 func (m *Machine) ComputeStats() Stats {
-	st := Stats{Completed: len(m.completed), TotalMigration: m.totalMigrations}
+	st := Stats{Completed: m.completed.count, TotalMigration: m.totalMigrations}
 	if st.Completed == 0 {
 		return st
 	}
-	var resp, serv, slow float64
-	for _, j := range m.completed {
-		r := j.CompletionS - j.Job.ArrivalS
-		resp += r
-		serv += j.Job.WorkS
-		slow += r / j.Job.WorkS
-	}
 	n := float64(st.Completed)
-	st.MeanResponseS = resp / n
-	st.MeanServiceS = serv / n
-	st.MeanSlowdown = slow / n
+	st.MeanResponseS = m.completed.responseS / n
+	st.MeanServiceS = m.completed.serviceS / n
+	st.MeanSlowdown = m.completed.slowdown / n
 	return st
 }

@@ -11,6 +11,17 @@ func job(id int, arrival, work float64) workload.Job {
 	return workload.Job{ID: id, ArrivalS: arrival, WorkS: work}
 }
 
+// enqueue enqueues j on core and returns the machine's record of it,
+// read from the queue tail, so tests can follow the job to completion.
+func enqueue(t *testing.T, m *Machine, j workload.Job, core int) *QueuedJob {
+	t.Helper()
+	if err := m.Enqueue(j, core); err != nil {
+		t.Fatal(err)
+	}
+	q := m.queues[core]
+	return q[len(q)-1]
+}
+
 func fullSpeed(n int) []float64 {
 	s := make([]float64, n)
 	for i := range s {
@@ -30,9 +41,7 @@ func TestNewMachineValidation(t *testing.T) {
 
 func TestEnqueueAndAdvanceCompletesJob(t *testing.T) {
 	m, _ := NewMachine(2, 0.001)
-	if err := m.Enqueue(job(0, 0, 0.05), 0); err != nil {
-		t.Fatal(err)
-	}
+	j := enqueue(t, m, job(0, 0, 0.05), 0)
 	utils, err := m.Advance(0.1, fullSpeed(2))
 	if err != nil {
 		t.Fatal(err)
@@ -43,36 +52,35 @@ func TestEnqueueAndAdvanceCompletesJob(t *testing.T) {
 	if utils[1] != 0 {
 		t.Errorf("idle core util = %g, want 0", utils[1])
 	}
-	done := m.Completed()
-	if len(done) != 1 {
-		t.Fatalf("%d jobs completed, want 1", len(done))
+	if n := m.ComputeStats().Completed; n != 1 {
+		t.Fatalf("%d jobs completed, want 1", n)
 	}
-	if math.Abs(done[0].CompletionS-0.05) > 1e-9 {
-		t.Errorf("completion at %g, want 0.05", done[0].CompletionS)
+	if math.Abs(j.CompletionS-0.05) > 1e-9 {
+		t.Errorf("completion at %g, want 0.05", j.CompletionS)
 	}
 }
 
 func TestAdvanceRespectsSpeed(t *testing.T) {
 	m, _ := NewMachine(1, 0)
-	m.Enqueue(job(0, 0, 0.085), 0)
+	j := enqueue(t, m, job(0, 0, 0.085), 0)
 	// At 0.85 speed, 0.085 s of work takes exactly 0.1 s of wall clock.
 	utils, _ := m.Advance(0.1, []float64{0.85})
 	if math.Abs(utils[0]-1.0) > 1e-9 {
 		t.Errorf("util = %g, want 1.0", utils[0])
 	}
-	if len(m.Completed()) != 1 {
+	if m.ComputeStats().Completed != 1 || j.CompletionS < 0 {
 		t.Error("job should have just completed")
 	}
 }
 
 func TestAdvanceZeroSpeedStalls(t *testing.T) {
 	m, _ := NewMachine(1, 0)
-	m.Enqueue(job(0, 0, 0.05), 0)
+	j := enqueue(t, m, job(0, 0, 0.05), 0)
 	utils, _ := m.Advance(0.1, []float64{0})
 	if utils[0] != 0 {
 		t.Errorf("stalled core util = %g, want 0", utils[0])
 	}
-	if len(m.Completed()) != 0 {
+	if m.ComputeStats().Completed != 0 || j.CompletionS >= 0 {
 		t.Error("stalled core completed a job")
 	}
 	if m.Running(0) == nil || m.Running(0).RemainingS != 0.05 {
@@ -88,13 +96,14 @@ func TestMultipleJobsProcessorSharing(t *testing.T) {
 	// Equal jobs share the pipeline and finish together: 3 x 0.03 s of
 	// work at unit speed completes at t = 0.09.
 	m, _ := NewMachine(1, 0)
-	m.Enqueue(job(0, 0, 0.03), 0)
-	m.Enqueue(job(1, 0, 0.03), 0)
-	m.Enqueue(job(2, 0, 0.03), 0)
+	done := []*QueuedJob{
+		enqueue(t, m, job(0, 0, 0.03), 0),
+		enqueue(t, m, job(1, 0, 0.03), 0),
+		enqueue(t, m, job(2, 0, 0.03), 0),
+	}
 	m.Advance(0.1, fullSpeed(1))
-	done := m.Completed()
-	if len(done) != 3 {
-		t.Fatalf("%d completed, want 3", len(done))
+	if n := m.ComputeStats().Completed; n != 3 {
+		t.Fatalf("%d completed, want 3", n)
 	}
 	for _, j := range done {
 		if math.Abs(j.CompletionS-0.09) > 1e-9 {
@@ -108,15 +117,15 @@ func TestProcessorSharingShortJobNotStuck(t *testing.T) {
 	// time instead of waiting for the long job (the T1's fine-grained
 	// multithreading behaviour).
 	m, _ := NewMachine(1, 0)
-	m.Enqueue(job(0, 0, 1.0), 0)  // long
-	m.Enqueue(job(1, 0, 0.05), 0) // short
+	longJob := enqueue(t, m, job(0, 0, 1.0), 0) // long
+	short := enqueue(t, m, job(1, 0, 0.05), 0)  // short
 	m.Advance(0.2, fullSpeed(1))
-	done := m.Completed()
-	if len(done) != 1 || done[0].Job.ID != 1 {
-		t.Fatalf("expected the short job to finish first, got %v", done)
+	if n := m.ComputeStats().Completed; n != 1 || short.CompletionS < 0 || longJob.CompletionS >= 0 {
+		t.Fatalf("expected the short job to finish first, got %d completed (short at %g, long at %g)",
+			n, short.CompletionS, longJob.CompletionS)
 	}
-	if math.Abs(done[0].CompletionS-0.1) > 1e-9 {
-		t.Errorf("short job completed at %g, want 0.1 (sharing with one other)", done[0].CompletionS)
+	if math.Abs(short.CompletionS-0.1) > 1e-9 {
+		t.Errorf("short job completed at %g, want 0.1 (sharing with one other)", short.CompletionS)
 	}
 	long := m.Running(0)
 	if long == nil || math.Abs(long.RemainingS-(1.0-0.05-0.1)) > 1e-9 {
@@ -274,9 +283,10 @@ func TestQueueLens(t *testing.T) {
 func TestWorkConservation(t *testing.T) {
 	m, _ := NewMachine(4, 0) // zero migration cost for exact accounting
 	totalIn := 0.0
+	var jobs []*QueuedJob
 	for i := 0; i < 20; i++ {
 		w := 0.01 * float64(i+1)
-		m.Enqueue(job(i, 0, w), i%4)
+		jobs = append(jobs, enqueue(t, m, job(i, 0, w), i%4))
 		totalIn += w
 	}
 	for tick := 0; tick < 10; tick++ {
@@ -284,8 +294,10 @@ func TestWorkConservation(t *testing.T) {
 		m.Advance(0.05, fullSpeed(4))
 	}
 	done := 0.0
-	for _, j := range m.Completed() {
-		done += j.Job.WorkS
+	for _, j := range jobs {
+		if j.CompletionS >= 0 {
+			done += j.Job.WorkS
+		}
 	}
 	remaining := 0.0
 	for c := 0; c < 4; c++ {

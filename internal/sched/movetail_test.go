@@ -71,11 +71,12 @@ func TestRandomOperationsConserveWork(t *testing.T) {
 		}
 		totalIn := 0.0
 		id := 0
+		var jobs []*QueuedJob
 		for step := 0; step < 50; step++ {
 			switch rng.Intn(4) {
 			case 0:
 				w := 0.01 + rng.Float64()*0.5
-				m.Enqueue(workload.Job{ID: id, ArrivalS: m.NowS(), WorkS: w}, rng.Intn(n))
+				jobs = append(jobs, enqueue(t, m, workload.Job{ID: id, ArrivalS: m.NowS(), WorkS: w}, rng.Intn(n)))
 				totalIn += w
 				id++
 			case 1:
@@ -102,11 +103,19 @@ func TestRandomOperationsConserveWork(t *testing.T) {
 		// plus the original work of still-queued jobs equals what was
 		// enqueued, and no queued job has done negative progress.
 		accounted := 0.0
-		for _, j := range m.Completed() {
+		completed := 0
+		for _, j := range jobs {
+			if j.CompletionS < 0 {
+				continue
+			}
+			completed++
 			accounted += j.Job.WorkS
 			if j.CompletionS < j.Job.ArrivalS {
 				t.Fatalf("job %d completed before arrival", j.Job.ID)
 			}
+		}
+		if got := m.ComputeStats().Completed; got != completed {
+			t.Fatalf("trial %d: ComputeStats counts %d completions, jobs show %d", trial, got, completed)
 		}
 		for c := 0; c < n; c++ {
 			for _, j := range m.queues[c] {

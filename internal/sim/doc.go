@@ -65,6 +65,10 @@
 // model-predictive policies run on exactly this machinery: the engine
 // hands a policy.Planner a rollout evaluator that snapshots the host
 // mid-decision and replays candidate actions on pooled forked lanes.
+// Lanes are score-only: they carry no metrics collector, assessor or
+// lifetime tracker, and the host's rollout capture leaves those out
+// (with the policy), so a lane restore costs state vectors and the
+// queued jobs, never the run's history.
 //
 // A single engine is strictly single-goroutine; concurrency lives in
 // the sweep worker pool (one engine per worker) and in rollout lanes

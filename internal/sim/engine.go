@@ -327,11 +327,6 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 
 	n := stack.NumCores()
-	machine, err := sched.NewMachine(n, cfg.MigrationCostS)
-	if err != nil {
-		return nil, err
-	}
-
 	jobs := cfg.Jobs
 	if jobs == nil {
 		jobs, err = workload.Generate(workload.GenConfig{
@@ -350,26 +345,14 @@ func newEngine(cfg Config) (*Engine, error) {
 		stack:   stack,
 		model:   model,
 		sensors: sensors,
-		machine: machine,
 		jobs:    jobs,
 		nTicks:  tickCount(cfg.DurationS, cfg.TickS),
 		n:       n,
 
 		freqScale: make([]float64, n),
-
-		states:     make([]power.CoreState, n),
-		levels:     make([]power.VfLevel, n),
-		utils:      make([]float64, n),
-		speeds:     make([]float64, n),
-		mem:        make([]float64, n),
-		queueLens:  make([]int, n),
-		coreIn:     make([]power.CoreInput, n),
-		gated:      make([]bool, n),
-		sleeping:   make([]bool, n),
-		blockPower: make([]float64, stack.NumBlocks()),
-		blockTemps: make([]float64, stack.NumBlocks()),
-		coreTemps:  make([]float64, n),
-		readings:   make([]float64, n),
+	}
+	if err := e.initRunState(); err != nil {
+		return nil, err
 	}
 	for c := range e.states {
 		e.states[c] = power.StateIdle
@@ -400,7 +383,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	if nodeTemps, err = model.SteadyStateWith(e.blockPower, cfg.Solver); err != nil {
 		return nil, err
 	}
-	e.nodeTemps = nodeTemps
+	copy(e.nodeTemps, nodeTemps)
 
 	if e.tr, err = model.NewTransientWith(cfg.TickS, e.nodeTemps, cfg.Solver); err != nil {
 		return nil, err
@@ -413,40 +396,8 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	sensors.ReadInto(e.readings, e.coreTemps)
 
-	if e.collector, err = metrics.NewCollector(stack, metrics.CollectorConfig{
-		HotSpotC:    cfg.ThresholdC,
-		CycleWindow: cfg.CycleWindowTicks,
-	}); err != nil {
+	if err := e.buildAccounting(); err != nil {
 		return nil, err
-	}
-	e.energy = power.NewEnergyMeter()
-
-	e.res = &Result{
-		PolicyName:    cfg.Policy.Name(),
-		Exp:           cfg.Exp,
-		UseDPM:        cfg.UseDPM,
-		JobsGenerated: len(jobs),
-	}
-
-	if cfg.AssessReliability {
-		if e.assessor, err = reliability.NewAssessor(n, cfg.TickS); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.TrackLifetime {
-		if e.lifetime, err = reliability.NewTracker(stack.NumBlocks(), cfg.TickS); err != nil {
-			return nil, err
-		}
-		blocks := stack.Blocks()
-		names := make([]string, len(blocks))
-		layers := make([]int, len(blocks))
-		for i, b := range blocks {
-			names[i] = b.Name
-			layers[i] = b.Layer
-		}
-		if err := e.lifetime.SetMeta(names, layers); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.TraceWriter != nil {
 		e.trace = newTraceWriter(cfg.TraceWriter)
@@ -460,19 +411,89 @@ func newEngine(cfg Config) (*Engine, error) {
 		}
 	}
 
-	e.view = policy.View{
-		TickS:      cfg.TickS,
-		Stack:      stack,
-		DVFS:       cfg.Power.DVFS,
-		ThresholdC: cfg.ThresholdC,
-		TprefC:     cfg.TprefC,
-	}
 	if cfg.ctx != nil {
 		e.done = cfg.ctx.Done()
 	}
 	e.obs = cfg.Observer
 	e.attachRollout()
 	return e, nil
+}
+
+// initRunState gives an engine whose inputs (cfg, stack, model, jobs,
+// core count) are set fresh mutable run state: per-tick scratch, the
+// scheduler, the energy meter, the result and the policy view. Engines
+// and their forks share it; the run-summary accumulators are separate
+// (buildAccounting), because rollout lanes go without them.
+func (e *Engine) initRunState() error {
+	n, nb := e.n, e.stack.NumBlocks()
+	e.states = make([]power.CoreState, n)
+	e.levels = make([]power.VfLevel, n)
+	e.utils = make([]float64, n)
+	e.speeds = make([]float64, n)
+	e.mem = make([]float64, n)
+	e.queueLens = make([]int, n)
+	e.coreIn = make([]power.CoreInput, n)
+	e.gated = make([]bool, n)
+	e.sleeping = make([]bool, n)
+	e.blockPower = make([]float64, nb)
+	e.nodeTemps = make([]float64, e.model.NumNodes)
+	e.blockTemps = make([]float64, nb)
+	e.coreTemps = make([]float64, n)
+	e.readings = make([]float64, n)
+	var err error
+	if e.machine, err = sched.NewMachine(n, e.cfg.MigrationCostS); err != nil {
+		return err
+	}
+	e.energy = power.NewEnergyMeter()
+	e.res = &Result{
+		PolicyName:    e.cfg.Policy.Name(),
+		Exp:           e.cfg.Exp,
+		UseDPM:        e.cfg.UseDPM,
+		JobsGenerated: len(e.jobs),
+	}
+	e.view = policy.View{
+		TickS:      e.cfg.TickS,
+		Stack:      e.stack,
+		DVFS:       e.cfg.Power.DVFS,
+		ThresholdC: e.cfg.ThresholdC,
+		TprefC:     e.cfg.TprefC,
+	}
+	return nil
+}
+
+// buildAccounting gives an engine its run-summary accumulators: the
+// metrics collector and, when the config tracks them, the reliability
+// assessor and the lifetime tracker.
+func (e *Engine) buildAccounting() error {
+	cfg := &e.cfg
+	var err error
+	if e.collector, err = metrics.NewCollector(e.stack, metrics.CollectorConfig{
+		HotSpotC:    cfg.ThresholdC,
+		CycleWindow: cfg.CycleWindowTicks,
+	}); err != nil {
+		return err
+	}
+	if cfg.AssessReliability {
+		if e.assessor, err = reliability.NewAssessor(e.n, cfg.TickS); err != nil {
+			return err
+		}
+	}
+	if cfg.TrackLifetime {
+		if e.lifetime, err = reliability.NewTracker(e.stack.NumBlocks(), cfg.TickS); err != nil {
+			return err
+		}
+		blocks := e.stack.Blocks()
+		names := make([]string, len(blocks))
+		layers := make([]int, len(blocks))
+		for i, b := range blocks {
+			names[i] = b.Name
+			layers[i] = b.Layer
+		}
+		if err := e.lifetime.SetMeta(names, layers); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // attachRollout wires the engine's self-rollout adapter into a
@@ -679,9 +700,12 @@ func (e *Engine) tickPost(tick int) error {
 	e.sensors.ReadInto(e.readings, e.coreTemps)
 
 	// 7. Metrics (on true temperatures, as the paper evaluates the
-	// simulator state, not the noisy sensor stream).
-	if err := e.collector.Record(e.blockTemps, e.coreTemps); err != nil {
-		return err
+	// simulator state, not the noisy sensor stream). Rollout lanes
+	// carry no collector, assessor or lifetime tracker.
+	if e.collector != nil {
+		if err := e.collector.Record(e.blockTemps, e.coreTemps); err != nil {
+			return err
+		}
 	}
 	if e.assessor != nil {
 		if err := e.assessor.Record(e.coreTemps); err != nil {

@@ -23,11 +23,18 @@ import (
 //
 // A Snapshot may only be restored into an engine built from the same
 // config shape (same stack, core count, tracking options); Restore
-// validates and errors otherwise. The zero value is ready to use as a
-// Snapshot destination, and its buffers are reused across captures, so
-// a steady snapshot cadence settles to zero allocations per capture.
+// validates and errors otherwise. Scheduler state costs O(queued
+// jobs): completed work is kept as running sums, not as a history.
+// The zero value is ready to use as a Snapshot destination, and its
+// buffers are reused across captures, so a steady snapshot cadence
+// settles to zero allocations per capture.
 type Snapshot struct {
-	valid   bool
+	valid bool
+	// lane marks an internal rollout capture: it leaves out the
+	// policy, the metrics collector, the reliability assessor and the
+	// lifetime tracker, which no rollout score reads, and restores only
+	// into lane engines (built without them).
+	lane    bool
 	tickIdx int
 	jobIdx  int
 
@@ -59,8 +66,7 @@ type Snapshot struct {
 	lifetime  *reliability.TrackerState
 
 	// pol is the policy clone; captured by the public Snapshot, absent
-	// from internal rollout-lane captures (lanes keep their own frozen
-	// policy).
+	// from rollout captures (lanes keep their own frozen policy).
 	pol policy.Policy
 }
 
@@ -77,7 +83,7 @@ func (e *Engine) Snapshot(s *Snapshot) error {
 	if !ok {
 		return fmt.Errorf("sim: policy %s does not support snapshotting (implement policy.Forker)", e.cfg.Policy.Name())
 	}
-	e.snapshotInto(s)
+	e.snapshotInto(s, false)
 	s.pol = pol
 	return nil
 }
@@ -117,7 +123,7 @@ func (e *Engine) Fork() (*Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: policy %s does not support forking (implement policy.Forker)", e.cfg.Policy.Name())
 	}
-	f, err := e.fork(pol)
+	f, err := e.fork(pol, false)
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +132,11 @@ func (e *Engine) Fork() (*Engine, error) {
 }
 
 // snapshotInto captures everything except the policy (see Snapshot
-// for the public contract; rollout lanes capture with the policy left
-// out because each lane runs its own frozen action policy).
-func (e *Engine) snapshotInto(s *Snapshot) {
+// for the public contract). A lane capture also leaves out the
+// collector, assessor and lifetime state: a rollout lane scores only
+// peak temperature, added damage (on its own tracker) and energy.
+func (e *Engine) snapshotInto(s *Snapshot, lane bool) {
+	s.lane = lane
 	s.tickIdx = e.tickIdx
 	s.jobIdx = e.jobIdx
 	s.resTicks = e.res.Ticks
@@ -157,8 +165,13 @@ func (e *Engine) snapshotInto(s *Snapshot) {
 	s.sensorDraws = e.sensors.Draws()
 
 	e.machine.Save(&s.machine)
-	e.collector.Save(&s.collector)
 	e.energy.Save(&s.energy)
+	s.pol = nil
+	s.valid = true
+	if lane {
+		return
+	}
+	e.collector.Save(&s.collector)
 	if e.assessor != nil {
 		if s.assessor == nil {
 			s.assessor = &reliability.AssessorState{}
@@ -175,8 +188,6 @@ func (e *Engine) snapshotInto(s *Snapshot) {
 	} else {
 		s.lifetime = nil
 	}
-	s.pol = nil
-	s.valid = true
 }
 
 // restoreFrom rewinds everything except the policy. All restores copy
@@ -186,6 +197,9 @@ func (e *Engine) snapshotInto(s *Snapshot) {
 func (e *Engine) restoreFrom(s *Snapshot) error {
 	if !s.valid {
 		return fmt.Errorf("sim: restore from empty snapshot")
+	}
+	if s.lane != (e.collector == nil) {
+		return fmt.Errorf("sim: rollout captures and full snapshots do not restore into each other's engines")
 	}
 	if len(s.states) != e.n || len(s.blockPower) != len(e.blockPower) || len(s.nodeTemps) != len(e.nodeTemps) {
 		return fmt.Errorf("sim: snapshot shape mismatch (%d cores, %d blocks, %d nodes vs engine %d, %d, %d)",
@@ -225,10 +239,13 @@ func (e *Engine) restoreFrom(s *Snapshot) error {
 	if err := e.machine.Load(&s.machine); err != nil {
 		return err
 	}
+	e.energy.Load(&s.energy)
+	if s.lane {
+		return nil
+	}
 	if err := e.collector.Load(&s.collector); err != nil {
 		return err
 	}
-	e.energy.Load(&s.energy)
 	if e.assessor != nil {
 		if err := e.assessor.Load(s.assessor); err != nil {
 			return err
@@ -242,17 +259,17 @@ func (e *Engine) restoreFrom(s *Snapshot) error {
 	return nil
 }
 
-// fork builds a lane engine around pol: fresh mutable state sharing
-// the receiver's immutable inputs, then a snapshot/restore round trip
-// to transplant the current state.
-func (e *Engine) fork(pol policy.Policy) (*Engine, error) {
+// fork builds an engine around pol: fresh mutable state sharing the
+// receiver's immutable inputs, then a snapshot/restore round trip to
+// transplant the current state. A lane fork is score-only: it has no
+// collector, assessor or lifetime tracker, so its ticks skip them.
+func (e *Engine) fork(pol policy.Policy, lane bool) (*Engine, error) {
 	cfg := e.cfg
 	cfg.Policy = pol
 	cfg.TraceWriter = nil
 	cfg.ctx = nil
 	cfg.Observer = nil
 
-	n := e.n
 	f := &Engine{
 		cfg:     cfg,
 		stack:   e.stack,
@@ -261,72 +278,21 @@ func (e *Engine) fork(pol policy.Policy) (*Engine, error) {
 		tr:      e.tr.Fork(),
 		jobs:    e.jobs,
 		nTicks:  e.nTicks,
-		n:       n,
+		n:       e.n,
 
 		freqScale: e.freqScale, // immutable per run, safe to share
-
-		states:     make([]power.CoreState, n),
-		levels:     make([]power.VfLevel, n),
-		utils:      make([]float64, n),
-		speeds:     make([]float64, n),
-		mem:        make([]float64, n),
-		queueLens:  make([]int, n),
-		coreIn:     make([]power.CoreInput, n),
-		gated:      make([]bool, n),
-		sleeping:   make([]bool, n),
-		blockPower: make([]float64, len(e.blockPower)),
-		nodeTemps:  make([]float64, len(e.nodeTemps)),
-		blockTemps: make([]float64, len(e.blockTemps)),
-		coreTemps:  make([]float64, n),
-		readings:   make([]float64, n),
 	}
-	var err error
-	if f.machine, err = sched.NewMachine(n, cfg.MigrationCostS); err != nil {
+	if err := f.initRunState(); err != nil {
 		return nil, err
 	}
-	if f.collector, err = metrics.NewCollector(e.stack, metrics.CollectorConfig{
-		HotSpotC:    cfg.ThresholdC,
-		CycleWindow: cfg.CycleWindowTicks,
-	}); err != nil {
-		return nil, err
-	}
-	f.energy = power.NewEnergyMeter()
-	if e.assessor != nil {
-		if f.assessor, err = reliability.NewAssessor(n, cfg.TickS); err != nil {
+	if !lane {
+		if err := f.buildAccounting(); err != nil {
 			return nil, err
 		}
-	}
-	if e.lifetime != nil {
-		if f.lifetime, err = reliability.NewTracker(e.stack.NumBlocks(), cfg.TickS); err != nil {
-			return nil, err
-		}
-		blocks := e.stack.Blocks()
-		names := make([]string, len(blocks))
-		layers := make([]int, len(blocks))
-		for i, b := range blocks {
-			names[i] = b.Name
-			layers[i] = b.Layer
-		}
-		if err := f.lifetime.SetMeta(names, layers); err != nil {
-			return nil, err
-		}
-	}
-	f.res = &Result{
-		PolicyName:    pol.Name(),
-		Exp:           cfg.Exp,
-		UseDPM:        cfg.UseDPM,
-		JobsGenerated: len(e.jobs),
-	}
-	f.view = policy.View{
-		TickS:      cfg.TickS,
-		Stack:      e.stack,
-		DVFS:       cfg.Power.DVFS,
-		ThresholdC: cfg.ThresholdC,
-		TprefC:     cfg.TprefC,
 	}
 
 	var s Snapshot
-	e.snapshotInto(&s)
+	e.snapshotInto(&s, lane)
 	if err := f.restoreFrom(&s); err != nil {
 		return nil, err
 	}
@@ -347,9 +313,10 @@ type rolloutSim struct {
 	errs  []error
 }
 
-// rolloutLane is one reusable candidate evaluator: a forked engine
-// frozen on a HeldAction policy plus a private scoring tracker reset
-// per candidate (so damage scores cover only the horizon).
+// rolloutLane is one reusable candidate evaluator: a score-only lane
+// fork (no collector, assessor or lifetime tracker) frozen on a
+// HeldAction policy, plus a private scoring tracker reset per
+// candidate (so damage scores cover only the horizon).
 type rolloutLane struct {
 	eng     *Engine
 	pol     *policy.HeldAction
@@ -358,7 +325,7 @@ type rolloutLane struct {
 
 func newRolloutLane(host *Engine) (*rolloutLane, error) {
 	pol := policy.NewHeldAction()
-	eng, err := host.fork(pol)
+	eng, err := host.fork(pol, true)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +344,7 @@ func (r *rolloutSim) Evaluate(actions []policy.Action, horizonTicks int, scores 
 	if horizonTicks <= 0 {
 		return fmt.Errorf("sim: rollout horizon must be positive, got %d", horizonTicks)
 	}
-	r.host.snapshotInto(&r.snap)
+	r.host.snapshotInto(&r.snap, true)
 
 	par := runtime.GOMAXPROCS(0)
 	if par > len(actions) {

@@ -217,14 +217,14 @@ func TestForkIsolation(t *testing.T) {
 			}
 
 			var before Snapshot
-			e.snapshotInto(&before)
+			e.snapshotInto(&before, false)
 			f, err := e.Fork()
 			if err != nil {
 				t.Fatal(err)
 			}
 			stepAll(t, f)
 			var after Snapshot
-			e.snapshotInto(&after)
+			e.snapshotInto(&after, false)
 			if !reflect.DeepEqual(&before, &after) {
 				t.Fatal("advancing a fork mutated the parent engine's state")
 			}
