@@ -207,9 +207,9 @@ func corePower(s *floorplan.Stack) []float64 {
 }
 
 // benchSteadyState measures one steady-state solve of the EXP-4 block
-// network on the given solver path. For the dense and uncached sparse
-// kinds each iteration pays the full factorization, exactly like the
-// seed's per-run cost; the cached kind factors once and back-solves.
+// network with the given factorization source. The uncached sparse
+// kind pays the full factorization every iteration, like a one-shot
+// floorplan candidate; the cached kind factors once and back-solves.
 func benchSteadyState(b *testing.B, kind thermal.SolverKind) {
 	b.Helper()
 	thermal.ResetFactorCache()
@@ -227,14 +227,12 @@ func benchSteadyState(b *testing.B, kind thermal.SolverKind) {
 	}
 }
 
-func BenchmarkThermalSteadyStateDense(b *testing.B)  { benchSteadyState(b, thermal.SolverDense) }
 func BenchmarkThermalSteadyStateSparse(b *testing.B) { benchSteadyState(b, thermal.SolverSparse) }
 func BenchmarkThermalSteadyStateCached(b *testing.B) { benchSteadyState(b, thermal.SolverCached) }
 
 // BenchmarkThermalSteadyStateGridCached solves a 32x32 grid-mode EXP-4
 // network (>5000 nodes) on the cached sparse path, factorization
-// prewarmed; the dense counterpart would be an O(n³) factorization per
-// solve and is deliberately omitted.
+// prewarmed.
 func BenchmarkThermalSteadyStateGridCached(b *testing.B) {
 	thermal.ResetFactorCache()
 	s := floorplan.MustBuild(floorplan.EXP4)
@@ -256,8 +254,8 @@ func BenchmarkThermalSteadyStateGridCached(b *testing.B) {
 
 // benchTransientStep measures one implicit-Euler step of the EXP-4 block
 // network (the per-tick cost of the simulator); the factorization is
-// built once outside the loop for every kind, so this isolates the pure
-// per-step solve cost of dense LU vs sparse LDLᵀ back-substitution.
+// built once outside the loop, so this isolates the per-step sparse
+// LDLᵀ back-substitution.
 func benchTransientStep(b *testing.B, kind thermal.SolverKind) {
 	b.Helper()
 	thermal.ResetFactorCache()
@@ -276,12 +274,12 @@ func benchTransientStep(b *testing.B, kind thermal.SolverKind) {
 	}
 }
 
-func BenchmarkThermalTransientStepDense(b *testing.B)  { benchTransientStep(b, thermal.SolverDense) }
 func BenchmarkThermalTransientStepSparse(b *testing.B) { benchTransientStep(b, thermal.SolverSparse) }
 
 // BenchmarkThermalTransientSetup measures integrator construction (the
-// per-run factorization cost the cache amortizes across a sweep): dense
-// refactors per call, cached hits the shared factorization.
+// per-run factorization cost the cache amortizes across a sweep): the
+// uncached sparse kind refactors per call, cached hits the shared
+// factorization.
 func benchTransientSetup(b *testing.B, kind thermal.SolverKind) {
 	b.Helper()
 	thermal.ResetFactorCache()
@@ -295,17 +293,14 @@ func benchTransientSetup(b *testing.B, kind thermal.SolverKind) {
 	}
 }
 
-func BenchmarkThermalTransientSetupDense(b *testing.B)  { benchTransientSetup(b, thermal.SolverDense) }
 func BenchmarkThermalTransientSetupSparse(b *testing.B) { benchTransientSetup(b, thermal.SolverSparse) }
 func BenchmarkThermalTransientSetupCached(b *testing.B) { benchTransientSetup(b, thermal.SolverCached) }
 
-// benchSweep runs a reduced policy x benchmark sweep on EXP-3 and EXP-4
-// per iteration — the structure of the paper's figure sweeps — on the
-// given solver path. The cache is reset once before the loop, so the
-// cached kind reflects sweep-scale reuse while the others pay their
-// factorizations inside every run.
-func benchSweep(b *testing.B, kind thermal.SolverKind) {
-	b.Helper()
+// BenchmarkSweepCached runs a reduced policy x benchmark sweep on EXP-3
+// and EXP-4 per iteration — the structure of the paper's figure
+// sweeps. The cache is reset once before the loop, so the timing
+// reflects sweep-scale factorization reuse.
+func BenchmarkSweepCached(b *testing.B) {
 	thermal.ResetFactorCache()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -315,25 +310,25 @@ func benchSweep(b *testing.B, kind thermal.SolverKind) {
 			Policies:   []string{"Default", "Adapt3D"},
 			DurationS:  10,
 			Seed:       1,
-			Solver:     kind,
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSweepDense(b *testing.B)  { benchSweep(b, thermal.SolverDense) }
-func BenchmarkSweepSparse(b *testing.B) { benchSweep(b, thermal.SolverSparse) }
-func BenchmarkSweepCached(b *testing.B) { benchSweep(b, thermal.SolverCached) }
-
 // benchSweepPath runs the Fig3-class job list (full policy roster, two
 // stacks, two benchmarks) through sweep.Execute on the given path:
 // grouped fuses same-system runs into one panel solve per tick (the
 // production default), per-job steps every run's triangular solves
 // independently. The pair isolates what batching buys at the sweep
-// level; run with -benchmem. At this scale grouping wins — on
-// setup-dominated micro sweeps (a couple of short jobs) the two paths
-// are within noise of each other.
+// level; run with -benchmem. Grouping does not win here at
+// GOMAXPROCS=2: on a 2-vCPU Xeon with go1.24.0,
+//
+//	GOMAXPROCS=2 go test -run '^$' -bench 'SweepGrouped|SweepPerJob' -count 5 .
+//
+// measured SweepGrouped at 215–321 ms/op (median 222) against
+// SweepPerJob at 190–269 ms/op (median 198). The grouped path's
+// measured gain is end to end on the served mix (ROADMAP item 2).
 func benchSweepPath(b *testing.B, grouped bool) {
 	b.Helper()
 	spec := exp.MatrixConfig{

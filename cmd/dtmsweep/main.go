@@ -110,7 +110,6 @@ func main() {
 	seedFlag := flag.Int64("seed", 1, "random seed")
 	csvFlag := flag.Bool("csv", false, "emit CSV instead of aligned tables (figure mode)")
 	benchFlag := flag.String("benchmarks", "", "comma-separated Table I benchmark names (default: representative mix)")
-	solverFlag := flag.String("solver", "cached", "thermal solver path(s): cached (sparse direct, shared factorizations), sparse, or dense; sweep mode accepts a comma-separated list")
 	statsFlag := flag.Bool("solverstats", false, "print thermal factorization cache statistics after the sweep")
 	repFlag := flag.Int("replicates", 1, "independent seeds per cell; >1 reports mean±stddev")
 
@@ -163,7 +162,6 @@ func main() {
 			stacks:      *stackFlag,
 			policies:    *policiesFlag,
 			benchmarks:  *benchFlag,
-			solvers:     *solverFlag,
 			durations:   *durationsFlag,
 			grid:        *gridFlag,
 			duration:    *durFlag,
@@ -179,11 +177,7 @@ func main() {
 		return
 	}
 
-	solver, err := thermal.ParseSolverKind(*solverFlag)
-	if err != nil {
-		fatal(err)
-	}
-	f := exp.FigureConfig{DurationS: *durFlag, Seed: *seedFlag, Solver: solver, Replicates: *repFlag}
+	f := exp.FigureConfig{DurationS: *durFlag, Seed: *seedFlag, Replicates: *repFlag}
 	if *benchFlag != "" {
 		f.Benchmarks = strings.Split(*benchFlag, ",")
 	}
@@ -254,7 +248,7 @@ type sweepFlags struct {
 	remote                         string
 	exps, stacks                   string
 	policies, benchmarks           string
-	solvers, durations, grid       string
+	durations, grid                string
 	duration                       float64
 	seed                           int64
 	replicates, workers            int
@@ -336,15 +330,6 @@ func buildSpec(f sweepFlags) (sweep.Spec, error) {
 		benches = splitList(f.benchmarks)
 	}
 
-	var solvers []thermal.SolverKind
-	for _, tok := range splitList(f.solvers) {
-		k, err := thermal.ParseSolverKind(tok)
-		if err != nil {
-			return zero, err
-		}
-		solvers = append(solvers, k)
-	}
-
 	durations := []float64{f.duration}
 	if f.durations != "" {
 		durations = durations[:0]
@@ -363,7 +348,6 @@ func buildSpec(f sweepFlags) (sweep.Spec, error) {
 		Benchmarks:  benches,
 		Replicates:  f.replicates,
 		Seed:        f.seed,
-		Solvers:     solvers,
 		DurationsS:  durations,
 		UseDPM:      f.dpm,
 		Reliability: f.reliability,

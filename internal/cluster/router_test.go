@@ -196,24 +196,29 @@ func TestRouterFailoverMidSweep(t *testing.T) {
 	spec := testSpec()
 	jobs := spec.Expand()
 
-	// Build 2 healthy backends plus one that dies after one record, and
-	// make sure the dying one actually owns at least 2 keys (one it
-	// serves, one it dies owing) — with 16 jobs over 3 nodes this holds
-	// for any URL assignment, but verify rather than assume.
-	backends := []*fakeBackend{newFakeBackend(t, -1), newFakeBackend(t, -1), newFakeBackend(t, 1)}
+	// Build 3 backends and make the one owning the most keys die after
+	// one record, so it owns at least 2 (one it serves, one it dies
+	// owing). Ownership hashes the backends' random URLs, so a fixed
+	// choice of dying backend would sometimes own fewer than 2 keys.
+	backends := []*fakeBackend{newFakeBackend(t, -1), newFakeBackend(t, -1), newFakeBackend(t, -1)}
 	nodes := make([]string, len(backends))
 	for i, b := range backends {
 		nodes[i] = b.ts.URL
 	}
-	dyingOwned := 0
+	owned := make([]int, len(backends))
 	for _, j := range jobs {
-		if Owner(nodes, j.Key()) == 2 {
-			dyingOwned++
+		owned[Owner(nodes, j.Key())]++
+	}
+	dying := 0
+	for i, n := range owned {
+		if n > owned[dying] {
+			dying = i
 		}
 	}
-	if dyingOwned < 2 {
-		t.Skipf("dying backend owns %d keys; need 2+ for a meaningful failover", dyingOwned)
+	if owned[dying] < 2 {
+		t.Fatalf("busiest backend owns %d of %d keys; need 2+ for a meaningful failover", owned[dying], len(jobs))
 	}
+	backends[dying].dieAfter = 1 // set before the router sends any request
 
 	r := newTestRouter(t, backends...)
 	assertCanonical(t, jobs, collectStream(t, r, spec))

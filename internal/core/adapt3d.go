@@ -34,9 +34,6 @@ type Config struct {
 	// must be long (minutes) because short intervals are misleading; it
 	// found offline and runtime indices to behave equivalently.
 	OnlineWindow int
-	// Solver selects the thermal solve path for the offline index
-	// derivation in NewWithModel (zero value: shared-cache sparse).
-	Solver thermal.SolverKind
 }
 
 // DefaultConfig returns the paper's constants.
@@ -96,7 +93,7 @@ func New(stack *floorplan.Stack, cfg Config) (*Adapt3D, error) {
 // offline and runtime-derived indices to behave equivalently).
 func NewWithModel(stack *floorplan.Stack, model *thermal.Model, cfg Config) (*Adapt3D, error) {
 	if cfg.Alpha == nil && model != nil {
-		alpha, err := SteadyStateIndicesWith(stack, model, cfg.Solver)
+		alpha, err := SteadyStateIndices(stack, model)
 		if err != nil {
 			return nil, err
 		}
@@ -213,17 +210,11 @@ func GeometricIndices(stack *floorplan.Stack) []float64 {
 // (0.1, 0.9); rank mapping keeps the full lateral ordering even when the
 // interlayer temperature difference dominates the absolute spread.
 func SteadyStateIndices(stack *floorplan.Stack, model *thermal.Model) ([]float64, error) {
-	return SteadyStateIndicesWith(stack, model, thermal.SolverCached)
-}
-
-// SteadyStateIndicesWith is SteadyStateIndices with an explicit thermal
-// solver path, so dense-reference sweeps stay purely dense.
-func SteadyStateIndicesWith(stack *floorplan.Stack, model *thermal.Model, kind thermal.SolverKind) ([]float64, error) {
 	ref := make([]float64, stack.NumBlocks())
 	for _, c := range stack.Cores() {
 		ref[stack.BlockIndex(c)] = 3.0 // nominal active power, Section IV-B
 	}
-	temps, err := model.SteadyStateWith(ref, kind)
+	temps, err := model.SteadyState(ref)
 	if err != nil {
 		return nil, fmt.Errorf("core: offline index solve failed: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
-	"repro/internal/thermal"
 )
 
 // goldenCell pins every numeric field of a matrix cell.
@@ -25,8 +24,8 @@ type goldenCell struct {
 }
 
 // goldenEXP1 captures Run on a tiny deterministic sweep (EXP-1, Web-high,
-// DPM, 30 s, seed 7) as produced by the sparse cached solver, which was
-// itself cross-validated against the seed's dense path to 1e-8 (see
+// DPM, 30 s, seed 7) as produced by the sparse cached solver, which is
+// itself cross-validated against a dense LU reference to 1e-8 (see
 // thermal.TestSteadyStateSparseMatchesDense). Any solver or simulator
 // change that shifts paper-table numbers beyond floating-point noise
 // fails here.
@@ -85,22 +84,4 @@ func TestRunGoldenEXP1(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, m, 1e-9)
-}
-
-// TestRunGoldenEXP1Dense re-runs the golden sweep on the dense reference
-// solver. The wider tolerance absorbs the 1e-8-level per-solve
-// differences between factorizations accumulated over 300 ticks; the
-// paper-table numbers themselves are identical to far more digits than
-// the tables print.
-func TestRunGoldenEXP1Dense(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dense reference sweep is slow")
-	}
-	cfg := goldenConfig()
-	cfg.Solver = thermal.SolverDense
-	m, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, m, 1e-6)
 }

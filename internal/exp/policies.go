@@ -36,13 +36,6 @@ var PolicyOrder = []string{
 // the three hybrid policies of Section III-C. Every stochastic policy
 // gets a deterministic seed derived from seed.
 func BuildPolicySet(stack *floorplan.Stack, seed int64) ([]policy.Policy, error) {
-	return BuildPolicySetWith(stack, seed, thermal.SolverCached)
-}
-
-// BuildPolicySetWith is BuildPolicySet with an explicit thermal solver
-// path for the Adapt3D offline index solves, so a dense-reference sweep
-// never touches the sparse factorization cache.
-func BuildPolicySetWith(stack *floorplan.Stack, seed int64, solver thermal.SolverKind) ([]policy.Policy, error) {
 	model, err := thermal.NewBlockModel(stack, thermal.DefaultParams())
 	if err != nil {
 		return nil, err
@@ -54,7 +47,6 @@ func BuildPolicySetWith(stack *floorplan.Stack, seed int64, solver thermal.Solve
 	mkAdapt := func(s int64) (*core.Adapt3D, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = s
-		cfg.Solver = solver
 		return core.NewWithModel(stack, model, cfg)
 	}
 	a3d, err := mkAdapt(seed + 1)
@@ -88,7 +80,7 @@ func BuildPolicySetWith(stack *floorplan.Stack, seed int64, solver thermal.Solve
 // KnownPolicy reports whether name is a buildable policy. It lets
 // request validation (the dtmserved sweep API) reject a bad roster
 // before any simulation starts, instead of failing mid-stream when
-// BuildPolicyWith first sees the name.
+// BuildPolicy first sees the name.
 func KnownPolicy(name string) bool {
 	for _, p := range PolicyOrder {
 		if p == name {
@@ -98,14 +90,10 @@ func KnownPolicy(name string) bool {
 	return false
 }
 
-// BuildPolicy constructs a single policy by name (for cmd/dtmsim).
+// BuildPolicy constructs a single policy by name (cmd/dtmsim, the sweep
+// runners, and live sessions' set_policy events).
 func BuildPolicy(name string, stack *floorplan.Stack, seed int64) (policy.Policy, error) {
-	return BuildPolicyWith(name, stack, seed, thermal.SolverCached)
-}
-
-// BuildPolicyWith is BuildPolicy with an explicit thermal solver path.
-func BuildPolicyWith(name string, stack *floorplan.Stack, seed int64, solver thermal.SolverKind) (policy.Policy, error) {
-	set, err := BuildPolicySetWith(stack, seed, solver)
+	set, err := BuildPolicySet(stack, seed)
 	if err != nil {
 		return nil, err
 	}

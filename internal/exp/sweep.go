@@ -24,7 +24,6 @@ func (c MatrixConfig) Spec() sweep.Spec {
 		Benchmarks:  c.Benchmarks,
 		Replicates:  c.Replicates,
 		Seed:        c.Seed,
-		Solvers:     []thermal.SolverKind{c.Solver},
 		DurationsS:  []float64{c.DurationS},
 		UseDPM:      c.UseDPM,
 		Reliability: c.Reliability,
@@ -85,6 +84,11 @@ func NewRunnerWithHooks(hooks RunnerHooks) sweep.RunFunc {
 // builds its live engines through this same mapping, so an interactive
 // run of a job is the very simulation a sweep run of it would be.
 func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
+	if j.Solver != thermal.SolverCached {
+		// Every run takes the shared-cache path; a job naming another
+		// kind would carry a key that misdescribes its record.
+		return sim.Config{}, &thermal.SolverKindError{Name: j.Solver.String()}
+	}
 	b, err := workload.ByName(j.Bench)
 	if err != nil {
 		return sim.Config{}, err
@@ -126,7 +130,7 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	pol, err := BuildPolicyWith(j.Policy, stack, j.Seed, j.Solver)
+	pol, err := BuildPolicy(j.Policy, stack, j.Seed)
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -141,7 +145,6 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 		Jobs:                jobs,
 		DurationS:           j.DurationS,
 		Seed:                j.Seed,
-		Solver:              j.Solver,
 		TrackLifetime:       j.Reliability,
 	}, nil
 }
@@ -199,13 +202,11 @@ func NewRunners(hooks RunnerHooks) (sweep.RunFunc, sweep.RunGroupFunc) {
 
 // GroupKey is the exp-standard sweep grouping key: jobs mapping to the
 // same non-empty key build the identical thermal system — same stack
-// geometry, interlayer physics, and duration, on the shared-cache
-// solver path — so their transient factorizations are one *Cholesky
-// and sim.RunBatch can advance them through a single panel solve per
-// tick. Policy, benchmark, seed, replicate, DPM, and reliability
+// geometry, interlayer physics, and duration — so their transient
+// factorizations are one *Cholesky and sim.RunBatch can advance them
+// through a single panel solve per tick. Policy, benchmark, seed, replicate, DPM, and reliability
 // tracking are deliberately absent: they vary freely across the lanes
-// of a batch without affecting the factorization. Non-cached solver
-// jobs return "" and stay on the per-job path.
+// of a batch without affecting the factorization.
 //
 // The model identity comes from sim.ModelKey — the same helper Prewarm
 // validates against — so grouping can never diverge from the
@@ -213,16 +214,12 @@ func NewRunners(hooks RunnerHooks) (sweep.RunFunc, sweep.RunGroupFunc) {
 // participate: two differently-named scenarios with identical physics
 // build one thermal system and batch together.
 func GroupKey(j sweep.Job) string {
-	if j.Solver != thermal.SolverCached {
-		return ""
-	}
 	mc, err := modelConfig(j.Scenario)
 	if err != nil {
 		// Unresolvable stack reference: stay on the per-job path,
 		// where the runner reports the error itself.
 		return ""
 	}
-	mc.Solver = j.Solver
 	key, err := sim.ModelKey(mc)
 	if err != nil {
 		// No canonical identity (partial grid spec): stay on the
@@ -258,23 +255,20 @@ func modelConfig(sc sweep.Scenario) (sim.Config, error) {
 	return cfg, nil
 }
 
-// Prewarm factors every cached-solver scenario's thermal systems into
-// the shared factorization cache before a worker pool starts, so the
-// workers don't all block on the first run per stack.
+// Prewarm factors every scenario's thermal systems into the shared
+// factorization cache before a worker pool starts, so the workers
+// don't all block on the first run per stack.
 func Prewarm(spec sweep.Spec) error {
 	for _, sc := range spec.Scenarios {
 		mc, err := modelConfig(sc)
 		if err != nil {
 			return fmt.Errorf("exp: prewarm %s: %w", sc.ID(), err)
 		}
-		for _, solver := range spec.Solvers {
-			for _, dur := range spec.DurationsS {
-				cfg := mc
-				cfg.DurationS = dur
-				cfg.Solver = solver
-				if err := sim.Prewarm(cfg); err != nil {
-					return fmt.Errorf("exp: prewarm %s: %w", sc.ID(), err)
-				}
+		for _, dur := range spec.DurationsS {
+			cfg := mc
+			cfg.DurationS = dur
+			if err := sim.Prewarm(cfg); err != nil {
+				return fmt.Errorf("exp: prewarm %s: %w", sc.ID(), err)
 			}
 		}
 	}
@@ -282,7 +276,7 @@ func Prewarm(spec sweep.Spec) error {
 }
 
 // recKey identifies the record of one logical run within a
-// single-solver, single-duration matrix sweep.
+// single-duration matrix sweep.
 type recKey struct {
 	policy, scenario, bench string
 	replicate               int
@@ -305,16 +299,16 @@ func (c MatrixConfig) Aggregate(recs []sweep.Record) (*Matrix, error) {
 	if reps <= 0 {
 		reps = 1
 	}
-	// A matrix is a single-solver, single-duration slice of the record
-	// space: drop records from other sweep dimensions (a shared
-	// checkpoint may hold, say, both cached and dense runs) so they can
-	// never silently mix into the cells. If filtering leaves a hole,
-	// the completeness check below reports it.
+	// A matrix is a single-duration slice of the cached-solver record
+	// space: drop records from other sweep dimensions (a checkpoint
+	// written by an older build may also hold dense or sparse runs) so
+	// they can never silently mix into the cells. If filtering leaves a
+	// hole, the completeness check below reports it.
 	// Reliability participates in the filter the same way: a shared
 	// checkpoint may hold both reliability-enabled and plain records of
 	// one logical run (their keys differ by the |rel suffix), and only
 	// the configuration's flavour may reach the cells.
-	solver := cfg.Solver.String()
+	solver := thermal.SolverCached.String()
 	byKey := make(map[recKey]sweep.Record, len(recs))
 	for _, r := range sweep.Dedup(recs) {
 		if r.Solver != solver || r.DurationS != cfg.DurationS || r.Reliability != cfg.Reliability {

@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sweep"
 	"repro/internal/thermal"
+	"repro/internal/workload"
 )
 
 // resumeConfig is a small but non-trivial sweep: two stacks, two
@@ -137,6 +139,15 @@ func TestShardedSweepMergesIdentical(t *testing.T) {
 	}
 	if sizes[0] == 0 || sizes[1] == 0 {
 		t.Fatalf("degenerate shard split %v", sizes)
+	}
+	// A checkpoint written by an older build may also hold dense-solver
+	// runs of the same cells; they must never reach the matrix.
+	for _, r := range merged[:len(merged)/2] {
+		r.Key = strings.Replace(r.Key, "|cached|", "|dense|", 1)
+		r.Solver = "dense"
+		r.HotSpotPct += 50
+		r.MeanResponseS *= 2
+		merged = append(merged, r)
 	}
 	got, err := cfg.Aggregate(merged)
 	if err != nil {
@@ -266,20 +277,30 @@ func TestGroupedSweepRecordsByteIdentical(t *testing.T) {
 
 // TestGroupKey pins the batching key's scope: same thermal system and
 // duration batch together across policies, benchmarks, seeds, and
-// reliability; different scenarios or durations do not; non-cached
-// solvers opt out entirely.
+// reliability; different scenarios or durations do not.
 func TestGroupKey(t *testing.T) {
 	jobs := resumeConfig().Spec().Expand()
 	base := jobs[0]
 	for _, j := range jobs[1:] {
-		same := j.Scenario.ID() == base.Scenario.ID() && j.DurationS == base.DurationS && j.Solver == base.Solver
+		same := j.Scenario.ID() == base.Scenario.ID() && j.DurationS == base.DurationS
 		if got := GroupKey(j) == GroupKey(base); got != same {
 			t.Errorf("GroupKey(%s) vs GroupKey(%s): equal=%v, want %v", j.Key(), base.Key(), got, same)
 		}
 	}
-	dense := base
-	dense.Solver = thermal.SolverDense
-	if GroupKey(dense) != "" {
-		t.Errorf("dense-solver job got grouping key %q, want none", GroupKey(dense))
+}
+
+// TestJobConfigRejectsNonCachedSolver pins that a job naming any solver
+// kind but cached fails with the typed error instead of running the
+// cached path under a key that says otherwise.
+func TestJobConfigRejectsNonCachedSolver(t *testing.T) {
+	traces := workload.NewTraceCache()
+	j := resumeConfig().Spec().Expand()[0]
+	if _, err := JobConfig(traces, j); err != nil {
+		t.Fatalf("cached job: %v", err)
+	}
+	j.Solver = thermal.SolverSparse
+	var kerr *thermal.SolverKindError
+	if _, err := JobConfig(traces, j); !errors.As(err, &kerr) || kerr.Name != "sparse" {
+		t.Fatalf("sparse job: got %v, want *thermal.SolverKindError", err)
 	}
 }

@@ -4,18 +4,6 @@ import (
 	"fmt"
 )
 
-// Solver is a factored linear system that can be solved repeatedly
-// against different right-hand sides. Both the dense LU and the sparse
-// Cholesky factorizations implement it, so callers (e.g. the thermal
-// transient integrator) can swap paths without branching per step.
-type Solver interface {
-	// Solve solves A*x = b, writing the solution into x. x and b must
-	// both have length N(); they may alias each other.
-	Solve(x, b []float64) error
-	// N returns the dimension of the factored system.
-	N() int
-}
-
 // Cholesky is a sparse LDLᵀ factorization of a symmetric positive-
 // definite matrix: P·A·Pᵀ = L·D·Lᵀ, with L unit lower triangular stored
 // in compressed-sparse-column form, D a positive diagonal, and P a
@@ -265,45 +253,6 @@ func (f *Cholesky) SolvePanel(dst, rhs []float64, k int, scratch []float64) erro
 		base := kn * k
 		for l := 0; l < k; l++ {
 			dst[l*n+old] = scratch[base+l]
-		}
-	}
-	return nil
-}
-
-// SolveMultiBuffered solves A*X = B column by column, overwriting each
-// B column with its solution, using caller-provided scratch of length
-// n*len(cols) so repeated multi-RHS solves are allocation-free. The
-// columns are solved as one lane-interleaved panel (one traversal of L
-// for all of them), with per-column results bitwise identical to
-// SolveBuffered. scratch must not alias any column. For contiguous
-// lane-major panels use SolvePanel instead.
-func (f *Cholesky) SolveMultiBuffered(cols [][]float64, scratch []float64) error {
-	n, k := f.n, len(cols)
-	if k == 0 {
-		return nil
-	}
-	if len(scratch) != n*k {
-		return fmt.Errorf("linalg: Cholesky.SolveMultiBuffered scratch has length %d, want n*k = %d", len(scratch), n*k)
-	}
-	for ci, b := range cols {
-		if len(b) != n {
-			return fmt.Errorf("linalg: Cholesky.SolveMultiBuffered column %d has length %d, want %d", ci, len(b), n)
-		}
-	}
-	if k == 1 {
-		return f.SolveBuffered(cols[0], cols[0], scratch)
-	}
-	for kn, old := range f.perm {
-		base := kn * k
-		for l := 0; l < k; l++ {
-			scratch[base+l] = cols[l][old]
-		}
-	}
-	f.solvePanelScratch(scratch, k)
-	for kn, old := range f.perm {
-		base := kn * k
-		for l := 0; l < k; l++ {
-			cols[l][old] = scratch[base+l]
 		}
 	}
 	return nil

@@ -116,8 +116,8 @@ func TestCholeskySolveAliased(t *testing.T) {
 	}
 }
 
-// TestCholeskySolveMulti checks the multi-RHS path against per-vector
-// solves.
+// TestCholeskySolveMulti checks the multi-RHS panel path against
+// per-vector allocating solves.
 func TestCholeskySolveMulti(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n, k = 30, 4
@@ -126,26 +126,22 @@ func TestCholeskySolveMulti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := make([][]float64, k)
-	want := make([][]float64, k)
-	for c := range cols {
-		cols[c] = make([]float64, n)
-		want[c] = make([]float64, n)
-		for i := range cols[c] {
-			cols[c][i] = rng.NormFloat64()
-		}
-		if err := f.Solve(want[c], cols[c]); err != nil {
+	panel := make([]float64, n*k)
+	want := make([]float64, n*k)
+	for i := range panel {
+		panel[i] = rng.NormFloat64()
+	}
+	for c := 0; c < k; c++ {
+		if err := f.Solve(want[c*n:(c+1)*n], panel[c*n:(c+1)*n]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := f.SolveMultiBuffered(cols, make([]float64, n*k)); err != nil {
+	if err := f.SolvePanel(panel, panel, k, make([]float64, n*k)); err != nil {
 		t.Fatal(err)
 	}
-	for c := range cols {
-		for i := range cols[c] {
-			if cols[c][i] != want[c][i] {
-				t.Fatalf("column %d row %d: multi %g single %g", c, i, cols[c][i], want[c][i])
-			}
+	for i := range panel {
+		if panel[i] != want[i] {
+			t.Fatalf("column %d row %d: multi %g single %g", i/n, i%n, panel[i], want[i])
 		}
 	}
 }
@@ -413,8 +409,8 @@ func TestCholeskySolvePanelValidation(t *testing.T) {
 
 // TestCholeskySolveMultiMatchesBuffered extends the multi-RHS pin: the
 // panel path must agree bitwise with repeated SolveBuffered calls, and
-// the buffered variants must not allocate — the removed SolveMulti
-// shim's per-call scratch make() was a leak in the tick path.
+// both buffered paths must not allocate — a per-call scratch make()
+// would be a leak in the tick path.
 func TestCholeskySolveMultiMatchesBuffered(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n, k = 40, 3
@@ -423,38 +419,33 @@ func TestCholeskySolveMultiMatchesBuffered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := make([][]float64, k)
-	want := make([][]float64, k)
+	panel := make([]float64, n*k)
+	want := make([]float64, n*k)
 	scratch := make([]float64, n*k)
-	for c := range cols {
-		cols[c] = make([]float64, n)
-		want[c] = make([]float64, n)
-		for i := range cols[c] {
-			cols[c][i] = rng.NormFloat64()
-		}
-		if err := f.SolveBuffered(want[c], cols[c], scratch[:n]); err != nil {
+	for i := range panel {
+		panel[i] = rng.NormFloat64()
+	}
+	for c := 0; c < k; c++ {
+		if err := f.SolveBuffered(want[c*n:(c+1)*n], panel[c*n:(c+1)*n], scratch[:n]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := f.SolveMultiBuffered(cols, scratch); err != nil {
+	if err := f.SolvePanel(panel, panel, k, scratch); err != nil {
 		t.Fatal(err)
 	}
-	for c := range cols {
-		for i := range cols[c] {
-			if cols[c][i] != want[c][i] {
-				t.Fatalf("column %d row %d: multi %g buffered %g", c, i, cols[c][i], want[c][i])
-			}
+	for i := range panel {
+		if panel[i] != want[i] {
+			t.Fatalf("column %d row %d: multi %g buffered %g", i/n, i%n, panel[i], want[i])
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := f.SolveMultiBuffered(cols, scratch); err != nil {
+		if err := f.SolveBuffered(want[:n], panel[:n], scratch[:n]); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("SolveMultiBuffered allocates %.1f per call, want 0", allocs)
+		t.Fatalf("SolveBuffered allocates %.1f per call, want 0", allocs)
 	}
-	panel := make([]float64, n*k)
 	allocs = testing.AllocsPerRun(50, func() {
 		if err := f.SolvePanel(panel, panel, k, scratch); err != nil {
 			t.Fatal(err)

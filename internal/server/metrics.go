@@ -45,12 +45,13 @@ type Metrics struct {
 	BackendRetries int64 `json:"backend_retries_total"`
 	ReroutedJobs   int64 `json:"rerouted_jobs_total"`
 
-	// Simulation throughput: total simulated ticks executed by this
-	// process and their average rate over the uptime. SimTicks is the
-	// ground truth for "did that request actually simulate anything" —
-	// a fully cache-served request leaves it untouched.
-	SimTicks       int64   `json:"sim_ticks_total"`
-	TicksPerSecond float64 `json:"ticks_per_second"`
+	// SimTicks is the total simulated ticks executed by this process:
+	// the ground truth for "did that request actually simulate
+	// anything" — a fully cache-served request leaves it untouched. A
+	// rate is the difference of two scrapes over their uptime_s
+	// difference; a lifetime average would go stale after any idle
+	// period.
+	SimTicks int64 `json:"sim_ticks_total"`
 
 	// Interactive-session accounting. Open and EnginesLive are gauges:
 	// resident sessions and how many of them still hold a live engine (a
@@ -136,14 +137,8 @@ func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()
 // snapshot folds the counters into the wire document. Cache gauges are
 // filled in by the caller, which holds the server state lock.
 func (c *counters) snapshot(workers int) Metrics {
-	uptime := time.Since(c.start).Seconds()
-	ticks := c.simTicks.Load()
-	tps := 0.0
-	if uptime > 0 {
-		tps = float64(ticks) / uptime
-	}
 	return Metrics{
-		UptimeS:        uptime,
+		UptimeS:        time.Since(c.start).Seconds(),
 		Workers:        workers,
 		RequestsTotal:  c.requestsTotal.Load(),
 		RequestsActive: c.requestsActive.Load(),
@@ -159,8 +154,7 @@ func (c *counters) snapshot(workers int) Metrics {
 		PeerFills:      c.peerFills.Load(),
 		BackendRetries: c.backendRetries.Load(),
 		ReroutedJobs:   c.reroutedJobs.Load(),
-		SimTicks:       ticks,
-		TicksPerSecond: tps,
+		SimTicks:       c.simTicks.Load(),
 
 		ReliabilityJobs:     c.reliabilityJobs.Load(),
 		CycleDamageTotal:    c.damageTotal.Load(),

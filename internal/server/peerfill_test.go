@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -316,5 +318,22 @@ func TestJobEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid job answered %s, want 400", resp.Status)
+	}
+	// The retired solver axes are not wire values.
+	good, _ := json.Marshal(job)
+	for _, kind := range []string{"sparse", "dense"} {
+		body := strings.Replace(string(good), `"solver":"cached"`, `"solver":"`+kind+`"`, 1)
+		if body == string(good) {
+			t.Fatalf("job body %s has no solver field to replace", good)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/job", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bad job request") {
+			t.Errorf("job with solver %q answered %s %q, want 400 bad job request", kind, resp.Status, msg)
+		}
 	}
 }

@@ -576,7 +576,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			"sweep expands to %d jobs, limit is %d (shard the request)", len(jobs), s.cfg.MaxJobsPerSweep)
 		return
 	}
-	// Jobs differing only in replicate, seed, solver, or DPM share
+	// Jobs differing only in replicate, seed, or DPM share
 	// every validated dimension; vet each distinct combination once
 	// (stack construction is the expensive part).
 	vetted := make(map[string]bool)

@@ -451,9 +451,15 @@ func TestRequestValidation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// retiredSolver is a small valid sweep body naming a solver axis
+	// value the wire format no longer accepts; SweepRequest cannot
+	// encode one, so these cases post the raw JSON string as req.
+	retiredSolver := func(kind string) string {
+		return `{"spec":{"scenarios":[{"exp":1}],"policies":["Default"],"benchmarks":["Web-med"],"durations_s":[1],"solvers":["` + kind + `"]}}`
+	}
 	cases := []struct {
 		name string
-		req  SweepRequest
+		req  any // SweepRequest, or a raw JSON body
 		code int
 	}{
 		{"empty spec", SweepRequest{}, http.StatusBadRequest},
@@ -497,13 +503,27 @@ func TestRequestValidation(t *testing.T) {
 			Benchmarks: []string{"Web-med"},
 			DurationsS: []float64{1e12},
 		}}, http.StatusBadRequest},
+		{"dense solver axis", retiredSolver("dense"), http.StatusBadRequest},
+		{"sparse solver axis", retiredSolver("sparse"), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		resp := postSweep(t, ts, tc.req, "")
-		io.Copy(io.Discard, resp.Body)
+		var resp *http.Response
+		raw, isRaw := tc.req.(string)
+		if isRaw {
+			var err error
+			if resp, err = ts.Client().Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(raw)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			resp = postSweep(t, ts, tc.req.(SweepRequest), "")
+		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+		if isRaw && !strings.Contains(string(body), "bad sweep request: thermal: unsupported solver kind") {
+			t.Errorf("%s: body %q does not carry the solver-kind error", tc.name, body)
 		}
 	}
 

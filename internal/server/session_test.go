@@ -294,6 +294,26 @@ func TestSessionReplayEndpoints(t *testing.T) {
 	}
 }
 
+// TestSessionOpenRejectsRetiredSolver pins that a session open naming a
+// retired solver axis value is a 400, like the sweep and job endpoints.
+func TestSessionOpenRejectsRetiredSolver(t *testing.T) {
+	srv := New(Config{Workers: 1, SessionIdleTimeout: -1})
+	t.Cleanup(srv.Stop)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	body := strings.Replace(sessionOpenBody, `"seed":9,`, `"seed":9,"solver":"sparse",`, 1)
+	resp, err := http.Post(ts.URL+"/v1/session", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unsupported solver kind \"sparse\"`) {
+		t.Fatalf("open with solver sparse: %d %s, want 400 naming the solver", resp.StatusCode, msg)
+	}
+}
+
 // TestSessionDrainRefusal pins that a draining server refuses session
 // opens and replays with 503 and closes resident sessions.
 func TestSessionDrainRefusal(t *testing.T) {

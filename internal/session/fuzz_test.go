@@ -10,13 +10,12 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/thermal"
 )
 
 // fuzzRig holds one live engine fuzz inputs are applied to, rebuilt
-// when a run completes. The sparse solver keeps arbitrary fail_tsv
-// factors from growing the process-wide factorization cache one entry
-// per fuzzed factor.
+// when a run completes. Every fuzzed fail_tsv factor builds a new
+// thermal system; the process-wide factorization cache is bounded, so
+// they evict older entries instead of growing it.
 var fuzzRig struct {
 	sync.Mutex
 	eng *sim.Engine
@@ -34,7 +33,6 @@ func fuzzEngine(t *testing.T) *sim.Engine {
 		Bench:     "gzip",
 		Seed:      1,
 		DurationS: 0.5,
-		Solver:    thermal.SolverSparse,
 	}
 	m := NewManager(Config{IdleTimeout: -1})
 	t.Cleanup(m.Close)

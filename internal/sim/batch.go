@@ -26,8 +26,7 @@ type batchDriver struct {
 // newBatchDriver wraps already-constructed engines into a lockstep
 // driver. It returns thermal.ErrNotBatchable when the engines cannot
 // share a panel solve (different factorizations — i.e. different
-// stacks, parameters, or time steps — a non-sparse solver path, or
-// mismatched tick counts); the caller then falls back to running each
+// stacks, parameters, or time steps — or mismatched tick counts); the caller then falls back to running each
 // engine sequentially, which is always equivalent.
 func newBatchDriver(engines []*Engine) (*batchDriver, error) {
 	nTicks := engines[0].nTicks
@@ -77,14 +76,14 @@ func (d *batchDriver) tick(tick int) error {
 
 // RunBatch executes K co-scheduled simulations in lockstep, fusing
 // their per-tick thermal solves into one blocked panel solve over the
-// shared factorization (SolverCached runs over the same stack geometry,
-// parameters, and tick length share one automatically). Each run keeps
+// shared factorization (runs over the same stack geometry, parameters,
+// and tick length share one automatically). Each run keeps
 // its own engine — policy, scheduler, power model, metrics,
 // reliability tracking, and every TickDecision stay fully independent —
 // so the results are bitwise identical to calling Run on each config
 // individually; only the number of triangular-solve traversals per tick
 // changes. Configs whose runs cannot share a factorization (mixed
-// stacks, dense or private-sparse solvers, differing durations) fall
+// stacks or parameters, differing durations) fall
 // back to sequential execution transparently.
 //
 // The configs' contexts are polled per tick as in Run; the first

@@ -6,12 +6,11 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/policy"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
 // batchLaneCfgs builds K co-schedulable configs over one stack: same
-// experiment, duration, and (default cached) solver — so the transient
+// experiment and duration — so the transient
 // factorizations are one shared *Cholesky — with policies and seeds
 // varying per lane. A fresh call returns fresh policy instances, so
 // the same lane set can be run twice independently.
@@ -79,13 +78,13 @@ func TestRunBatchMatchesRun(t *testing.T) {
 }
 
 // TestRunBatchFallsBack checks the sequential fallback: lanes that
-// cannot share a factorization (mixed durations, a dense solver lane)
+// cannot share a factorization (mixed durations, mixed stacks)
 // still produce exactly the per-run results.
 func TestRunBatchFallsBack(t *testing.T) {
 	mk := func() []Config {
 		cfgs := batchLaneCfgs(t)
-		cfgs[1].DurationS = 20 // different tick count: not batchable
-		cfgs[2].Solver = thermal.SolverDense
+		cfgs[1].DurationS = 20       // different tick count: not batchable
+		cfgs[2].Exp = floorplan.EXP3 // different stack: not batchable
 		return cfgs
 	}
 	seq := mk()

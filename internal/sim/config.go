@@ -69,13 +69,6 @@ type Config struct {
 	// wrong factorization (see ModelKey).
 	GridRows, GridCols int
 
-	// Solver selects the thermal linear-solve path. The zero value is
-	// thermal.SolverCached: sparse direct factorizations shared across
-	// every run with the same stack geometry and parameters, which is
-	// what makes large policy x floorplan sweeps cheap. SolverSparse
-	// factors privately; SolverDense is the O(n³) reference path.
-	Solver thermal.SolverKind
-
 	// MigrationCostS is the per-migration penalty (default 1 ms).
 	MigrationCostS float64
 

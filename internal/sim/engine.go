@@ -112,9 +112,6 @@ func Prewarm(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	if cfg.Solver != thermal.SolverCached {
-		return nil // nothing shareable to warm
-	}
 	_, model, err := buildThermal(cfg)
 	if err != nil {
 		return err
@@ -369,7 +366,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Power.ComputeInto(e.blockPower, stack, idleIn); err != nil {
 		return nil, err
 	}
-	nodeTemps, err := model.SteadyStateWith(e.blockPower, cfg.Solver)
+	nodeTemps, err := model.SteadyState(e.blockPower)
 	if err != nil {
 		return nil, err
 	}
@@ -380,12 +377,12 @@ func newEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Power.ComputeInto(e.blockPower, stack, idleIn); err != nil {
 		return nil, err
 	}
-	if nodeTemps, err = model.SteadyStateWith(e.blockPower, cfg.Solver); err != nil {
+	if nodeTemps, err = model.SteadyState(e.blockPower); err != nil {
 		return nil, err
 	}
 	copy(e.nodeTemps, nodeTemps)
 
-	if e.tr, err = model.NewTransientWith(cfg.TickS, e.nodeTemps, cfg.Solver); err != nil {
+	if e.tr, err = model.NewTransient(cfg.TickS, e.nodeTemps); err != nil {
 		return nil, err
 	}
 	if err := model.BlockTempsInto(e.blockTemps, e.nodeTemps); err != nil {

@@ -87,9 +87,9 @@ func (e *Engine) SpliceJobs(tick int, replacement []workload.Job) error {
 // rebuilds the thermal model around the degraded stack and transplants
 // the integrator state bitwise, so the temperature trajectory is
 // continuous across the event. Geometry is unchanged — only interface
-// physics — so every other subsystem keeps its buffers. On the cached
-// solver path the degraded system gets its own factorization cache
-// entry (the cache keys on matrix content).
+// physics — so every other subsystem keeps its buffers. The degraded
+// system gets its own factorization cache entry (the cache keys on
+// matrix content).
 func (e *Engine) DegradeInterfaces(factor float64) error {
 	if factor <= 0 {
 		return fmt.Errorf("sim: interface degradation factor %g must be positive", factor)
@@ -122,7 +122,7 @@ func (e *Engine) DegradeInterfaces(factor float64) error {
 		return fmt.Errorf("sim: degraded model shape changed (%d nodes, %d blocks vs %d, %d)",
 			model.NumNodes, model.NumBlocks(), len(e.nodeTemps), len(e.blockTemps))
 	}
-	tr, err := model.NewTransientWith(e.cfg.TickS, nil, e.cfg.Solver)
+	tr, err := model.NewTransient(e.cfg.TickS, nil)
 	if err != nil {
 		return err
 	}

@@ -9,8 +9,7 @@ import (
 // ModelKey returns the canonical identity of the thermal system a
 // config builds: two configs produce equal keys exactly when Run would
 // hand them the same shared-cache factorization — same experiment
-// stack, joint resistivity, grid discretization, solver path, and
-// tick length (the transient factorization bakes in C/dt). Sweep
+// stack, joint resistivity, grid discretization, and tick length (the transient factorization bakes in C/dt). Sweep
 // grouping (exp.GroupKey) and Prewarm both derive from it, so batched
 // jobs can never be grouped across — or warm — a factorization the run
 // would not use.
@@ -39,7 +38,7 @@ func ModelKey(cfg Config) (string, error) {
 	if cfg.StackSpec != nil {
 		// The hash covers every spec field including interlayer
 		// resistivity, so jr does not appear separately.
-		key = fmt.Sprintf("stack:%s|tick%gs|solver%d", cfg.StackSpec.Hash(), tick, int(cfg.Solver))
+		key = fmt.Sprintf("stack:%s|tick%gs", cfg.StackSpec.Hash(), tick)
 	} else {
 		exp := cfg.Exp
 		if exp == 0 {
@@ -49,7 +48,7 @@ func ModelKey(cfg Config) (string, error) {
 		if jr == 0 {
 			jr = 0.23
 		}
-		key = fmt.Sprintf("%s|jr%g|tick%gs|solver%d", exp, jr, tick, int(cfg.Solver))
+		key = fmt.Sprintf("%s|jr%g|tick%gs", exp, jr, tick)
 	}
 	if cfg.GridRows > 0 {
 		key = fmt.Sprintf("%s|grid%dx%d", key, cfg.GridRows, cfg.GridCols)

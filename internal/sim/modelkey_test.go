@@ -7,12 +7,11 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/policy"
-	"repro/internal/thermal"
 )
 
 // TestModelKey pins the canonical thermal-identity keys that sweep
 // grouping and prewarming batch on: builtin experiments key on
-// exp/jr/tick/solver, declarative stacks on the spec's content hash,
+// exp/jr/tick, declarative stacks on the spec's content hash,
 // and the two namespaces never intersect.
 func TestModelKey(t *testing.T) {
 	key := func(cfg Config) string {
@@ -31,8 +30,8 @@ func TestModelKey(t *testing.T) {
 	if key(Config{Exp: floorplan.EXP3}) == key(Config{Exp: floorplan.EXP4}) {
 		t.Error("different experiments share a key")
 	}
-	if key(Config{}) == key(Config{Solver: thermal.SolverDense}) {
-		t.Error("solver path not part of the key")
+	if key(Config{}) == key(Config{TickS: 0.05}) {
+		t.Error("tick length not part of the key")
 	}
 	if key(Config{}) == key(Config{GridRows: 8, GridCols: 8}) {
 		t.Error("grid discretization not part of the key")
@@ -40,7 +39,7 @@ func TestModelKey(t *testing.T) {
 
 	spec := &floorplan.StackSpec{Name: "mk", Layers: []floorplan.LayerSpec{{Template: "memory"}, {Template: "cores"}}}
 	specKey := key(Config{StackSpec: spec})
-	if want := fmt.Sprintf("stack:%s|tick0.1s|solver0", spec.Hash()); specKey != want {
+	if want := fmt.Sprintf("stack:%s|tick0.1s", spec.Hash()); specKey != want {
 		t.Errorf("spec key %q, want %q", specKey, want)
 	}
 	changed := *spec

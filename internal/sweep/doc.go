@@ -1,6 +1,6 @@
 // Package sweep is the experiment orchestration layer: it expands a
 // declarative Spec (the cross product of scenarios x policies x
-// benchmarks x replicate seeds x solver kinds x durations, optionally
+// benchmarks x replicate seeds x durations, optionally
 // with the lifetime tracker attached) into a deterministic job list,
 // executes it on a bounded worker pool, and streams per-run Records to
 // pluggable sinks as runs complete.

@@ -192,7 +192,11 @@ type Spec struct {
 	// DefaultSeedStride). Replicate 0 always runs at exactly Seed, so a
 	// single-replicate sweep reproduces the pre-orchestrator results.
 	SeedStride int64 `json:"seed_stride,omitempty"`
-	// Solvers are the thermal solve paths to sweep (empty: cached).
+	// Solvers is a legacy wire axis: every simulation takes the
+	// shared-cache path, so the only accepted value is
+	// thermal.SolverCached (empty selects it). It stays so job keys keep
+	// their "cached" token and existing checkpoints and caches remain
+	// valid.
 	Solvers []thermal.SolverKind `json:"solvers,omitempty"`
 	// DurationsS are the simulated durations to sweep (empty: 300 s).
 	DurationsS []float64 `json:"durations_s,omitempty"`
@@ -252,7 +256,9 @@ type Job struct {
 	Replicate int      `json:"replicate"`
 	// Seed is the replicate's base seed (trace generation additionally
 	// offsets it by the benchmark ID, as exp.Run always has).
-	Seed      int64              `json:"seed"`
+	Seed int64 `json:"seed"`
+	// Solver is always thermal.SolverCached; it is kept on the wire and
+	// in the key for compatibility (see Spec.Solvers).
 	Solver    thermal.SolverKind `json:"solver"`
 	DurationS float64            `json:"duration_s"`
 	UseDPM    bool               `json:"use_dpm,omitempty"`

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		Benchmarks: []string{"Web-med"},
 		Replicates: 2,
 		Seed:       7,
-		Solvers:    []thermal.SolverKind{thermal.SolverCached, thermal.SolverDense},
+		Solvers:    []thermal.SolverKind{thermal.SolverCached},
 		DurationsS: []float64{30, 60},
 		UseDPM:     true,
 	}
@@ -32,7 +33,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"EXP-1"`, `"EXP-3"`, `"cached"`, `"dense"`, `"grid_rows":8`} {
+	for _, want := range []string{`"EXP-1"`, `"EXP-3"`, `"solvers":["cached"]`, `"grid_rows":8`} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("encoded spec %s is missing %s", b, want)
 		}
@@ -47,6 +48,15 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	a, bJobs := spec.Expand(), got.Expand()
 	if !reflect.DeepEqual(a, bJobs) {
 		t.Fatal("round-tripped spec expands to a different job list")
+	}
+	// The retired solver axes are rejected with the typed error, not
+	// silently mapped to cached.
+	for _, retired := range []string{"sparse", "dense"} {
+		in := strings.Replace(string(b), `"solvers":["cached"]`, `"solvers":["cached","`+retired+`"]`, 1)
+		var kerr *thermal.SolverKindError
+		if err := json.Unmarshal([]byte(in), new(Spec)); !errors.As(err, &kerr) || kerr.Name != retired {
+			t.Errorf("spec with solver %q: got %v, want *thermal.SolverKindError", retired, err)
+		}
 	}
 }
 

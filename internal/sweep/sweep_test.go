@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -93,6 +94,28 @@ func TestJobKeyStable(t *testing.T) {
 	j.Scenario.JointResistivityMKW = 0.5
 	if got, want := j.Scenario.ID(), "EXP-3/jr0.5"; got != want {
 		t.Errorf("resistivity scenario ID = %q, want %q", got, want)
+	}
+
+	// The documented wire-format key: a defaulted spec (no solvers, no
+	// durations) and a bare JSON job both still carry the "cached"
+	// token, so keys written before the solver axis was retired stay
+	// valid.
+	const documented = "EXP-1|Default|Web-med|r0.s1|cached|300s|nodpm"
+	expanded := Spec{
+		Scenarios:  []Scenario{{Exp: floorplan.EXP1}},
+		Policies:   []string{"Default"},
+		Benchmarks: []string{"Web-med"},
+		Seed:       1,
+	}.Expand()
+	if len(expanded) != 1 || expanded[0].Key() != documented {
+		t.Errorf("defaulted spec expands to %v, want the single key %q", expanded, documented)
+	}
+	var wire Job
+	if err := json.Unmarshal([]byte(`{"scenario":{"exp":1},"policy":"Default","bench":"Web-med","seed":1,"duration_s":300}`), &wire); err != nil {
+		t.Fatal(err)
+	}
+	if got := wire.Key(); got != documented {
+		t.Errorf("wire job Key() = %q, want %q", got, documented)
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 
 // ErrNotBatchable reports that a set of transient integrators cannot
 // advance in lockstep through one panel solve: they do not share a
-// sparse factorization (different systems, different time steps, or a
-// non-sparse solver path). Callers fall back to per-integrator
-// stepping, which is always valid.
+// factorization (different systems or different time steps). Callers
+// fall back to per-integrator stepping, which is always valid.
 var ErrNotBatchable = errors.New("thermal: transients do not share a factorization")
 
 // TransientBatch advances K transient integrators that share one sparse
@@ -52,11 +51,8 @@ func NewTransientBatch(lanes []*Transient) (*TransientBatch, error) {
 		return nil, fmt.Errorf("thermal: transient batch needs at least one lane")
 	}
 	base := lanes[0]
-	if base.chol == nil {
-		return nil, fmt.Errorf("%w: lane 0 uses a non-sparse solver", ErrNotBatchable)
-	}
 	for i, tr := range lanes[1:] {
-		if tr.chol == nil || tr.chol != base.chol {
+		if tr.chol != base.chol {
 			return nil, fmt.Errorf("%w: lane %d does not share lane 0's factorization", ErrNotBatchable, i+1)
 		}
 		if tr.dt != base.dt {

@@ -12,80 +12,73 @@ import (
 	"repro/internal/linalg"
 )
 
-// SolverKind selects the linear-solve path for steady-state and
-// transient temperature computations.
+// SolverKind selects how a model obtains the sparse factorization
+// behind its steady-state and transient solves.
 type SolverKind int
 
 const (
 	// SolverCached factors the sparse conductance system once per unique
 	// (stack geometry, parameters, time step) and shares the
-	// factorization process-wide. This is the default: a policy x
-	// floorplan x benchmark sweep runs hundreds of simulations over the
-	// same four stacks, and every one of them reuses the same handful of
-	// factorizations. Entries are retained for the life of the process
-	// (see ResetFactorCache), so callers that solve each geometry exactly
-	// once — e.g. a search over candidate floorplans — should use
-	// SolverSparse instead of filling the cache with single-use entries.
+	// factorization process-wide. This is the only path a simulation
+	// takes: a policy x floorplan x benchmark sweep runs hundreds of
+	// simulations over the same four stacks, and every one of them
+	// reuses the same handful of factorizations. Entries are retained
+	// for the life of the process (see ResetFactorCache), so callers
+	// that solve each geometry exactly once — e.g. a search over
+	// candidate floorplans — should use SolverSparse instead of filling
+	// the cache with single-use entries.
 	SolverCached SolverKind = iota
-	// SolverSparse factors the sparse system privately, without
-	// consulting the cache (isolated runs, cache-behaviour tests).
+	// SolverSparse factors the same sparse system privately, without
+	// consulting the cache (one-shot floorplan candidates,
+	// cache-behaviour tests). It is not a wire value.
 	SolverSparse
-	// SolverDense densifies the conductance matrix and LU-factors it —
-	// the seed's original O(n³) path, kept as the cross-validation
-	// reference and benchmark baseline.
-	SolverDense
 )
 
-// String returns the flag-friendly name of the solver kind.
+// String returns the kind's name ("cached", "sparse").
 func (k SolverKind) String() string {
 	switch k {
 	case SolverCached:
 		return "cached"
 	case SolverSparse:
 		return "sparse"
-	case SolverDense:
-		return "dense"
 	}
 	return fmt.Sprintf("SolverKind(%d)", int(k))
 }
 
-// ParseSolverKind converts a flag value ("cached", "sparse", "dense")
-// to a SolverKind.
-func ParseSolverKind(s string) (SolverKind, error) {
-	switch s {
-	case "cached", "":
-		return SolverCached, nil
-	case "sparse":
-		return SolverSparse, nil
-	case "dense":
-		return SolverDense, nil
-	}
-	return 0, fmt.Errorf("thermal: unknown solver kind %q (want cached, sparse, or dense)", s)
+// SolverKindError reports a solver name the wire format does not
+// accept. Only "cached" (or an empty string, its default) is a valid
+// wire value; the retired "sparse" and "dense" sweep axes and any
+// unknown name are rejected with this error.
+type SolverKindError struct {
+	Name string
 }
 
-// MarshalJSON encodes the kind as its flag name ("cached"), so wire
-// formats (the dtmserved sweep API) read naturally instead of exposing
-// iota values.
+// Error names the rejected solver kind and the one accepted value.
+func (e *SolverKindError) Error() string {
+	return fmt.Sprintf("thermal: unsupported solver kind %q (only \"cached\" is accepted)", e.Name)
+}
+
+// MarshalJSON encodes SolverCached as "cached", the only solver value
+// wire formats (sweep specs, jobs and records on the dtmserved API)
+// carry.
 func (k SolverKind) MarshalJSON() ([]byte, error) {
-	switch k {
-	case SolverCached, SolverSparse, SolverDense:
-		return json.Marshal(k.String())
+	if k != SolverCached {
+		return nil, fmt.Errorf("thermal: cannot marshal %s: only cached is a wire value", k)
 	}
-	return nil, fmt.Errorf("thermal: cannot marshal invalid %s", k)
+	return []byte(`"cached"`), nil
 }
 
-// UnmarshalJSON accepts the flag name ("cached", "sparse", "dense");
-// an empty string selects the default, matching ParseSolverKind.
+// UnmarshalJSON accepts "cached" and the empty string (the default);
+// every other name fails with a *SolverKindError.
 func (k *SolverKind) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		return fmt.Errorf("thermal: solver kind must be a JSON string: %w", err)
 	}
-	parsed, err := ParseSolverKind(s)
-	if err != nil {
-		return err
+	if s != "cached" && s != "" {
+		return &SolverKindError{Name: s}
 	}
-	*k = parsed
+	*k = SolverCached
 	return nil
 }
 

@@ -9,20 +9,19 @@
 //
 // Steady-state and transient temperatures come from linear solves
 // against the sparse conductance system, which is symmetric positive
-// definite. Three paths exist, selected by SolverKind:
+// definite, through one sparse LDLᵀ factorization per system. Every
+// simulation takes the shared path (SolverCached): factorizations are
+// cached process-wide under a content hash of the conductance matrix,
+// capacitances, and time step — i.e. by stack geometry plus thermal
+// parameters. Sweeps running many simulations over the same stacks
+// factor each system once and reuse it from every worker; concurrent
+// first access factors exactly once. SolverSparse computes the same
+// factorization privately, for one-shot geometries (floorplan search
+// candidates) that would only fill the cache.
 //
-//   - SolverCached (default): sparse LDLᵀ factorizations shared
-//     process-wide through a cache keyed by a content hash of the
-//     conductance matrix, capacitances, and time step — i.e. by stack
-//     geometry plus thermal parameters. Sweeps running many simulations
-//     over the same stacks factor each system once and reuse it from
-//     every worker; concurrent first access factors exactly once.
-//   - SolverSparse: the same sparse factorization, computed privately.
-//   - SolverDense: the dense LU reference path (O(n³)), retained for
-//     cross-validation tests and benchmark baselines.
-//
-// No path densifies the conductance matrix except SolverDense itself.
-// See FactorCacheStats and ResetFactorCache for cache introspection.
+// Nothing in the package densifies the conductance matrix; the dense
+// LU reference lives in the cross-validation tests. See
+// FactorCacheStats and ResetFactorCache for cache introspection.
 //
 // # Batched transient stepping
 //

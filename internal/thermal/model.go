@@ -473,30 +473,25 @@ func (m *Model) SteadyState(blockPower []float64) ([]float64, error) {
 	return m.SteadyStateWith(blockPower, SolverCached)
 }
 
-// SteadyStateWith is SteadyState with an explicit solver path, used by
-// cross-validation tests and benchmarks.
+// SteadyStateWith is SteadyState with an explicit factorization
+// source: SolverSparse factors privately instead of through the shared
+// cache, for one-shot geometries such as floorplan search candidates.
 func (m *Model) SteadyStateWith(blockPower []float64, kind SolverKind) ([]float64, error) {
 	pn, err := m.ExpandPower(blockPower)
 	if err != nil {
 		return nil, err
 	}
-	var dt []float64
-	if kind == SolverDense {
-		dt, err = linalg.SolveDense(m.G.ToDense(), pn)
-	} else {
-		var f *linalg.Cholesky
-		if f, err = m.steadyFactor(kind); err == nil {
-			dt = pn
-			err = f.Solve(dt, pn)
-		}
+	f, err := m.steadyFactor(kind)
+	if err == nil {
+		err = f.Solve(pn, pn)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("thermal: steady-state solve failed: %w", err)
 	}
-	for i := range dt {
-		dt[i] += m.Params.AmbientC
+	for i := range pn {
+		pn[i] += m.Params.AmbientC
 	}
-	return dt, nil
+	return pn, nil
 }
 
 // AmbientHeatFlow returns the total heat flowing into the ambient (W) for

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -48,15 +49,79 @@ func randomPower(m *Model, seed int64) []float64 {
 	return p
 }
 
+// denseSteadyState is the test-only dense reference for SteadyState:
+// it densifies G and solves with LU partial pivoting, sharing no code
+// with the sparse factorization path.
+func denseSteadyState(m *Model, blockPower []float64) ([]float64, error) {
+	pn, err := m.ExpandPower(blockPower)
+	if err != nil {
+		return nil, err
+	}
+	rise, err := linalg.SolveDense(m.G.ToDense(), pn)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rise {
+		rise[i] += m.Params.AmbientC
+	}
+	return rise, nil
+}
+
+// denseTransient is the test-only dense reference for Transient: the
+// same implicit-Euler recurrence with C/dt + G densified and
+// LU-factored.
+type denseTransient struct {
+	m         *Model
+	lu        *linalg.LU
+	cdt, rise []float64
+}
+
+func newDenseTransient(m *Model, dt float64, init []float64) (*denseTransient, error) {
+	a := m.G.ToDense()
+	cdt := make([]float64, m.NumNodes)
+	for i := range cdt {
+		cdt[i] = m.C[i] / dt
+		a.Add(i, i, cdt[i])
+	}
+	lu, err := linalg.Factor(a)
+	if err != nil {
+		return nil, err
+	}
+	rise := make([]float64, m.NumNodes)
+	for i := range rise {
+		rise[i] = init[i] - m.Params.AmbientC
+	}
+	return &denseTransient{m: m, lu: lu, cdt: cdt, rise: rise}, nil
+}
+
+func (d *denseTransient) step(blockPower []float64) ([]float64, error) {
+	pn, err := d.m.ExpandPower(blockPower)
+	if err != nil {
+		return nil, err
+	}
+	for i := range pn {
+		pn[i] += d.cdt[i] * d.rise[i]
+	}
+	if err := d.lu.Solve(d.rise, pn); err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(d.rise))
+	for i, r := range d.rise {
+		out[i] = r + d.m.Params.AmbientC
+	}
+	return out, nil
+}
+
 // TestSteadyStateSparseMatchesDense cross-validates the production
-// sparse+cached steady-state path against the dense LU reference on
-// every experiment's block model and on grid models, within 1e-8.
+// sparse steady-state path (cached and private factorizations) against
+// the dense LU reference on every experiment's block model and on grid
+// models, within 1e-8.
 func TestSteadyStateSparseMatchesDense(t *testing.T) {
 	for name, m := range solverModels(t) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				p := randomPower(m, seed)
-				dense, err := m.SteadyStateWith(p, SolverDense)
+				dense, err := denseSteadyState(m, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,19 +141,20 @@ func TestSteadyStateSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestTransientSparseMatchesDense steps the implicit-Euler integrator
-// with both factorizations from the same initial condition and demands
-// node-for-node agreement within 1e-8 over a power step response.
+// TestTransientSparseMatchesDense steps the production implicit-Euler
+// integrator and the dense reference from the same initial condition
+// and demands node-for-node agreement within 1e-8 over a power step
+// response.
 func TestTransientSparseMatchesDense(t *testing.T) {
 	for name, m := range solverModels(t) {
 		t.Run(name, func(t *testing.T) {
 			p := randomPower(m, 42)
 			init := m.UniformInit(m.Params.AmbientC + 5)
-			trS, err := m.NewTransientWith(0.1, init, SolverCached)
+			trS, err := m.NewTransient(0.1, init)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trD, err := m.NewTransientWith(0.1, init, SolverDense)
+			trD, err := newDenseTransient(m, 0.1, init)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +168,7 @@ func TestTransientSparseMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				td, err := trD.Step(p)
+				td, err := trD.step(p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,19 +251,21 @@ func TestFactorCacheSharing(t *testing.T) {
 	}
 }
 
-// TestSolverKindRoundTrip covers the flag parsing helpers.
+// TestSolverKindRoundTrip pins the kind names and that SolverCached —
+// the only wire value — survives a JSON round trip.
 func TestSolverKindRoundTrip(t *testing.T) {
-	for _, k := range []SolverKind{SolverCached, SolverSparse, SolverDense} {
-		got, err := ParseSolverKind(k.String())
-		if err != nil || got != k {
-			t.Fatalf("round trip %v: got %v err %v", k, got, err)
+	for k, want := range map[SolverKind]string{SolverCached: "cached", SolverSparse: "sparse", SolverKind(7): "SolverKind(7)"} {
+		if got := k.String(); got != want {
+			t.Errorf("String(%d) = %q, want %q", int(k), got, want)
 		}
 	}
-	if _, err := ParseSolverKind("nope"); err == nil {
-		t.Fatal("expected error for unknown kind")
+	b, err := json.Marshal(SolverCached)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if k, err := ParseSolverKind(""); err != nil || k != SolverCached {
-		t.Fatalf("empty string should default to cached, got %v err %v", k, err)
+	var got SolverKind = SolverSparse
+	if err := json.Unmarshal(b, &got); err != nil || got != SolverCached {
+		t.Fatalf("round trip of %s: got %v err %v", b, got, err)
 	}
 }
 
@@ -224,29 +292,35 @@ func TestFactorCacheBounded(t *testing.T) {
 	}
 }
 
-// TestSolverKindJSON pins the wire format the dtmserved sweep API uses.
+// TestSolverKindJSON pins the wire format the dtmserved sweep API
+// uses: "cached" (and the empty default) is the only accepted value,
+// and the retired "sparse"/"dense" axes fail with a typed error.
 func TestSolverKindJSON(t *testing.T) {
-	for _, k := range []SolverKind{SolverCached, SolverSparse, SolverDense} {
-		b, err := json.Marshal(k)
-		if err != nil {
-			t.Fatalf("marshal %v: %v", k, err)
+	b, err := json.Marshal(SolverCached)
+	if err != nil || string(b) != `"cached"` {
+		t.Fatalf("marshal cached = %s err %v, want \"cached\"", b, err)
+	}
+	for _, in := range []string{`"cached"`, `""`} {
+		k := SolverSparse
+		if err := json.Unmarshal([]byte(in), &k); err != nil || k != SolverCached {
+			t.Errorf("unmarshal %s: got %v err %v", in, k, err)
 		}
-		if want := fmt.Sprintf("%q", k.String()); string(b) != want {
-			t.Errorf("marshal %v = %s, want %s", k, b, want)
-		}
-		var got SolverKind
-		if err := json.Unmarshal(b, &got); err != nil || got != k {
-			t.Errorf("unmarshal %s: got %v err %v", b, got, err)
+	}
+	for _, name := range []string{"sparse", "dense", "nope"} {
+		var k SolverKind
+		err := json.Unmarshal([]byte(fmt.Sprintf("%q", name)), &k)
+		var kerr *SolverKindError
+		if !errors.As(err, &kerr) || kerr.Name != name {
+			t.Errorf("unmarshal %q: got %v, want *SolverKindError", name, err)
 		}
 	}
 	var k SolverKind
-	if err := json.Unmarshal([]byte(`"nope"`), &k); err == nil {
-		t.Error("unmarshal accepted an unknown solver kind")
-	}
 	if err := json.Unmarshal([]byte(`7`), &k); err == nil {
 		t.Error("unmarshal accepted a bare number")
 	}
-	if _, err := json.Marshal(SolverKind(42)); err == nil {
-		t.Error("marshal accepted an invalid solver kind")
+	for _, bad := range []SolverKind{SolverSparse, SolverKind(42)} {
+		if _, err := json.Marshal(bad); err == nil {
+			t.Errorf("marshal accepted %v", bad)
+		}
 	}
 }

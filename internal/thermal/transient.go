@@ -12,18 +12,17 @@ import (
 //
 //	(C/dt + G) T_{k+1} = (C/dt) T_k + P_{k+1}
 //
-// The left-hand matrix is factored once — by default with the sparse
-// Cholesky path shared through the process-wide factorization cache, so
-// concurrent sweep runs over the same stack reuse one factorization —
-// and each Step costs one pair of sparse triangular solves. This matches
+// The left-hand matrix is factored once — a sparse Cholesky shared
+// through the process-wide factorization cache, so concurrent sweep
+// runs over the same stack reuse one factorization — and each Step
+// costs one pair of sparse triangular solves. This matches
 // how the paper's framework advances HotSpot once per 100 ms sampling
 // interval.
 type Transient struct {
-	m      *Model
-	dt     float64
-	solver linalg.Solver
-	// chol aliases solver when it is a sparse factorization; Step then
-	// uses SolveBuffered with the integrator-owned scratch so the
+	m  *Model
+	dt float64
+	// chol is the (possibly shared) factorization of C/dt + G; Step
+	// solves with SolveBuffered and the integrator-owned scratch, so the
 	// per-tick solve stays allocation-free even though the factorization
 	// itself is shared across goroutines.
 	chol    *linalg.Cholesky
@@ -45,8 +44,9 @@ func (m *Model) NewTransient(dt float64, init []float64) (*Transient, error) {
 	return m.NewTransientWith(dt, init, SolverCached)
 }
 
-// NewTransientWith is NewTransient with an explicit solver path, used by
-// cross-validation tests and benchmarks.
+// NewTransientWith is NewTransient with an explicit factorization
+// source: SolverSparse factors privately instead of through the shared
+// cache (cache-behaviour tests and cold-setup benchmarks).
 func (m *Model) NewTransientWith(dt float64, init []float64, kind SolverKind) (*Transient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: transient step must be positive, got %g", dt)
@@ -59,34 +59,19 @@ func (m *Model) NewTransientWith(dt float64, init []float64, kind SolverKind) (*
 	for i := 0; i < n; i++ {
 		cdt[i] = m.C[i] / dt
 	}
-	var (
-		solver linalg.Solver
-		err    error
-	)
-	if kind == SolverDense {
-		a := m.G.ToDense()
-		for i := 0; i < n; i++ {
-			a.Add(i, i, cdt[i])
-		}
-		solver, err = linalg.Factor(a)
-	} else {
-		solver, err = m.transientFactor(dt, kind)
-	}
+	chol, err := m.transientFactor(dt, kind)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: transient factorization failed: %w", err)
 	}
 	tr := &Transient{
-		m:      m,
-		dt:     dt,
-		solver: solver,
-		cdt:    cdt,
-		rise:   make([]float64, n),
-		rhs:    make([]float64, n),
-		pn:     make([]float64, n),
-	}
-	if chol, ok := solver.(*linalg.Cholesky); ok {
-		tr.chol = chol
-		tr.scratch = make([]float64, n)
+		m:       m,
+		dt:      dt,
+		chol:    chol,
+		scratch: make([]float64, n),
+		cdt:     cdt,
+		rise:    make([]float64, n),
+		rhs:     make([]float64, n),
+		pn:      make([]float64, n),
 	}
 	if init != nil {
 		for i := range tr.rise {
@@ -124,13 +109,7 @@ func (t *Transient) StepInto(dst, blockPower []float64) error {
 	for i := range t.rhs {
 		t.rhs[i] = t.cdt[i]*t.rise[i] + t.pn[i]
 	}
-	var err error
-	if t.chol != nil {
-		err = t.chol.SolveBuffered(t.rise, t.rhs, t.scratch)
-	} else {
-		err = t.solver.Solve(t.rise, t.rhs)
-	}
-	if err != nil {
+	if err := t.chol.SolveBuffered(t.rise, t.rhs, t.scratch); err != nil {
 		return fmt.Errorf("thermal: transient step failed: %w", err)
 	}
 	ambient := t.m.Params.AmbientC
@@ -176,20 +155,16 @@ func substepCount(dt, sub float64) int {
 // rollout lanes cost K state vectors, not K factorizations.
 func (t *Transient) Fork() *Transient {
 	n := len(t.rise)
-	f := &Transient{
-		m:      t.m,
-		dt:     t.dt,
-		solver: t.solver,
-		chol:   t.chol,
-		cdt:    t.cdt,
-		rise:   append([]float64(nil), t.rise...),
-		rhs:    make([]float64, n),
-		pn:     make([]float64, n),
+	return &Transient{
+		m:       t.m,
+		dt:      t.dt,
+		chol:    t.chol,
+		scratch: make([]float64, n),
+		cdt:     t.cdt,
+		rise:    append([]float64(nil), t.rise...),
+		rhs:     make([]float64, n),
+		pn:      make([]float64, n),
 	}
-	if t.chol != nil {
-		f.scratch = make([]float64, n)
-	}
-	return f
 }
 
 // StateInto copies the integrator's raw state — the temperature rise
