@@ -5,7 +5,7 @@
 # regressions. Used by CI to produce BENCH_ci.json and to (re)generate
 # the committed baseline:
 #
-#   go test -run xxx -bench 'SteadyState|Transient|Sweep|Fig|RunTick|SimulatedSecond|SolvePanel|SnapshotFork|MPCDecision' \
+#   go test -run xxx -bench 'SteadyState|Transient|Sweep|Fig|RunTick|SimulatedSecond|SolvePanel|CholeskyFactorGrid|SnapshotFork|MPCDecision' \
 #     -benchtime 1x -benchmem -count 1 . ./internal/sim ./internal/linalg \
 #     | sh .github/bench_to_json.sh > .github/bench_baseline.json
 #

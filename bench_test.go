@@ -326,9 +326,10 @@ func BenchmarkSweepCached(b *testing.B) {
 //
 //	GOMAXPROCS=2 go test -run '^$' -bench 'SweepGrouped|SweepPerJob' -count 5 .
 //
-// measured SweepGrouped at 215–321 ms/op (median 222) against
-// SweepPerJob at 190–269 ms/op (median 198). The grouped path's
-// measured gain is end to end on the served mix (ROADMAP item 2).
+// measured SweepGrouped at 202–328 ms/op (median 212) against
+// SweepPerJob at 180–209 ms/op (median 191), with the 8-lane
+// register-blocked panel solve. The grouped path's measured gain is
+// end to end on the served mix (ROADMAP item 2).
 func benchSweepPath(b *testing.B, grouped bool) {
 	b.Helper()
 	spec := exp.MatrixConfig{

@@ -258,32 +258,36 @@ func (f *Cholesky) SolvePanel(dst, rhs []float64, k int, scratch []float64) erro
 	return nil
 }
 
+// panelBlock is the lane width of the register-blocked panel kernels:
+// a column's eight lane values (forward sweep) or accumulators
+// (backward sweep) stay in registers across its whole update loop.
+const panelBlock = 8
+
 // solvePanelScratch runs the permuted forward/diagonal/backward sweeps
 // in place on a lane-interleaved panel w (lane l of permuted row i at
 // w[i*k+l]). Per lane it performs the exact operation sequence of
 // solveScratch — including the skip of zero pivot values in the forward
 // sweep, which matters for bitwise identity when signed zeros are in
 // play — so lane results match single-RHS solves bit for bit.
+//
+// Lanes run in register blocks of panelBlock (forward8, backward8); the
+// k mod 8 lanes that do not fill a block run through the generic
+// interleaved loops restricted to that lane range. Lanes never read
+// each other, so splitting them reorders no lane's arithmetic.
 func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 	n := f.n
+	tail := k - k%panelBlock // first lane outside the 8-lane blocks
 	// L W = B' (unit lower triangular, CSC forward sweep). Column j's
-	// lane values wj are loop-invariant across its updates (rowIdx > j
-	// strictly below the unit diagonal), so the full-capacity subslice
-	// is taken once per column; the per-lane zero skip mirrors the
-	// scalar path's — beyond saving a multiply, skipping preserves the
-	// sign of a -0.0 target that x -= v*0 would flip.
+	// lane values are loop-invariant across its updates (rowIdx > j
+	// strictly below the unit diagonal).
 	for j := 0; j < n; j++ {
+		rows, vals := f.column(j)
 		bj := j * k
-		wj := w[bj : bj+k : bj+k]
-		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			base := f.rowIdx[p] * k
-			v := f.val[p]
-			wr := w[base : base+k : base+k]
-			for l, x := range wj {
-				if x != 0 {
-					wr[l] -= v * x
-				}
-			}
+		for o := 0; o < tail; o += panelBlock {
+			forward8(w, (*[panelBlock]float64)(w[bj+o:]), rows, vals, k, o)
+		}
+		if tail < k {
+			forwardLanes(w, rows, vals, k, bj, tail)
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -295,17 +299,129 @@ func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 		}
 	}
 	// Lᵀ W = W (CSC backward sweep): column j's lanes accumulate from
-	// already-solved rows below, so wj is the update target here.
+	// already-solved rows below, so they are the update target here.
 	for j := n - 1; j >= 0; j-- {
+		rows, vals := f.column(j)
 		bj := j * k
-		wj := w[bj : bj+k : bj+k]
-		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			base := f.rowIdx[p] * k
-			v := f.val[p]
-			wr := w[base : base+k : base+k]
-			for l := range wj {
-				wj[l] -= v * wr[l]
+		for o := 0; o < tail; o += panelBlock {
+			backward8(w, (*[panelBlock]float64)(w[bj+o:]), rows, vals, k, o)
+		}
+		if tail < k {
+			backwardLanes(w, rows, vals, k, bj, tail)
+		}
+	}
+}
+
+// column returns the row indices and values of L's column j (strictly
+// below the unit diagonal), so the sweeps' inner loops load no fields.
+// Each caller reslices vals to len(rows), which lets the compiler drop
+// the bounds check on vals[p] in its range-over-rows loop.
+func (f *Cholesky) column(j int) ([]int, []float64) {
+	lo, hi := f.colPtr[j], f.colPtr[j+1]
+	return f.rowIdx[lo:hi], f.val[lo:hi]
+}
+
+// forward8 applies column j's forward-sweep updates to lanes o..o+7 of
+// the interleaved panel w, where wj holds those lanes of row j. The
+// eight values are loaded once; when none is zero the update loop runs
+// without branches, otherwise each lane keeps solveScratch's zero skip
+// (x -= v*0 would turn a -0.0 target into +0.0).
+func forward8(w []float64, wj *[panelBlock]float64, rows []int, vals []float64, k, o int) {
+	x0, x1, x2, x3, x4, x5, x6, x7 := wj[0], wj[1], wj[2], wj[3], wj[4], wj[5], wj[6], wj[7]
+	vals = vals[:len(rows)]
+	if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 && x4 != 0 && x5 != 0 && x6 != 0 && x7 != 0 {
+		for p, r := range rows {
+			v := vals[p]
+			t := (*[panelBlock]float64)(w[r*k+o:])
+			t[0] -= v * x0
+			t[1] -= v * x1
+			t[2] -= v * x2
+			t[3] -= v * x3
+			t[4] -= v * x4
+			t[5] -= v * x5
+			t[6] -= v * x6
+			t[7] -= v * x7
+		}
+		return
+	}
+	for p, r := range rows {
+		v := vals[p]
+		t := (*[panelBlock]float64)(w[r*k+o:])
+		if x0 != 0 {
+			t[0] -= v * x0
+		}
+		if x1 != 0 {
+			t[1] -= v * x1
+		}
+		if x2 != 0 {
+			t[2] -= v * x2
+		}
+		if x3 != 0 {
+			t[3] -= v * x3
+		}
+		if x4 != 0 {
+			t[4] -= v * x4
+		}
+		if x5 != 0 {
+			t[5] -= v * x5
+		}
+		if x6 != 0 {
+			t[6] -= v * x6
+		}
+		if x7 != 0 {
+			t[7] -= v * x7
+		}
+	}
+}
+
+// backward8 accumulates column j's backward-sweep terms for lanes
+// o..o+7 in eight scalar registers and stores them into wj once.
+func backward8(w []float64, wj *[panelBlock]float64, rows []int, vals []float64, k, o int) {
+	s0, s1, s2, s3, s4, s5, s6, s7 := wj[0], wj[1], wj[2], wj[3], wj[4], wj[5], wj[6], wj[7]
+	vals = vals[:len(rows)]
+	for p, r := range rows {
+		v := vals[p]
+		t := (*[panelBlock]float64)(w[r*k+o:])
+		s0 -= v * t[0]
+		s1 -= v * t[1]
+		s2 -= v * t[2]
+		s3 -= v * t[3]
+		s4 -= v * t[4]
+		s5 -= v * t[5]
+		s6 -= v * t[6]
+		s7 -= v * t[7]
+	}
+	wj[0], wj[1], wj[2], wj[3], wj[4], wj[5], wj[6], wj[7] = s0, s1, s2, s3, s4, s5, s6, s7
+}
+
+// forwardLanes is the generic forward-sweep update of column j (lanes
+// at w[bj:bj+k]) restricted to lanes lo..k-1.
+func forwardLanes(w []float64, rows []int, vals []float64, k, bj, lo int) {
+	wj := w[bj+lo : bj+k : bj+k]
+	vals = vals[:len(rows)]
+	for p, r := range rows {
+		v := vals[p]
+		base := r * k
+		wr := w[base+lo : base+k : base+k]
+		for l, x := range wj {
+			if x != 0 {
+				wr[l] -= v * x
 			}
+		}
+	}
+}
+
+// backwardLanes is the generic backward-sweep update of column j
+// restricted to lanes lo..k-1.
+func backwardLanes(w []float64, rows []int, vals []float64, k, bj, lo int) {
+	wj := w[bj+lo : bj+k : bj+k]
+	vals = vals[:len(rows)]
+	for p, r := range rows {
+		v := vals[p]
+		base := r * k
+		wr := w[base+lo : base+k : base+k]
+		for l := range wj {
+			wj[l] -= v * wr[l]
 		}
 	}
 }
@@ -323,8 +439,10 @@ func (f *Cholesky) solveScratch(w, b []float64) {
 		if wj == 0 {
 			continue
 		}
-		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			w[f.rowIdx[p]] -= f.val[p] * wj
+		rows, vals := f.column(j)
+		vals = vals[:len(rows)]
+		for p, r := range rows {
+			w[r] -= vals[p] * wj
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -332,9 +450,11 @@ func (f *Cholesky) solveScratch(w, b []float64) {
 	}
 	// Lᵀ w = w (CSC backward sweep).
 	for j := n - 1; j >= 0; j-- {
+		rows, vals := f.column(j)
+		vals = vals[:len(rows)]
 		s := w[j]
-		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			s -= f.val[p] * w[f.rowIdx[p]]
+		for p, r := range rows {
+			s -= vals[p] * w[r]
 		}
 		w[j] = s
 	}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -231,25 +232,7 @@ func TestOrderingsArePermutations(t *testing.T) {
 // the structure of a thermal network's package coupling. RCM degrades
 // here; MinDegree must keep nnz(L) within a small multiple of nnz(A).
 func TestMinDegreeBoundsHubFill(t *testing.T) {
-	const rows, cols, hubs = 24, 24, 5
-	n := rows*cols + hubs
-	sb := NewSparseBuilder(n)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				sb.StampConductance(id(r, c), id(r, c+1), 1)
-			}
-			if r+1 < rows {
-				sb.StampConductance(id(r, c), id(r+1, c), 1)
-			}
-			for h := 0; h < hubs; h++ {
-				sb.StampConductance(id(r, c), rows*cols+h, 0.5)
-			}
-		}
-	}
-	sb.StampGroundConductance(rows*cols, 1)
-	s := sb.Build()
+	s := hubGrid(24, 24, 5)
 	f, err := FactorCholesky(s)
 	if err != nil {
 		t.Fatal(err)
@@ -260,9 +243,8 @@ func TestMinDegreeBoundsHubFill(t *testing.T) {
 }
 
 // TestMinDegreeDeterministic pins that the ordering depends only on
-// the matrix: map iteration order differs on every call, so repeated
-// orderings of one grid Laplacian would disagree if it leaked into the
-// elimination order.
+// the matrix: repeated orderings and factorizations of one grid
+// Laplacian agree.
 func TestMinDegreeDeterministic(t *testing.T) {
 	s := gridLaplacian(32, 32)
 	want := MinDegree(s)
@@ -337,49 +319,87 @@ func gridLaplacian(rows, cols int) *Sparse {
 // buffered path bit for bit: for every lane, SolvePanel must produce
 // exactly the floats SolveBuffered produces on that lane's column —
 // including on the minimum-degree grid ordering — because the sweep
-// batching layer promises byte-identical per-job records.
+// batching layer promises byte-identical per-job records. The lane
+// counts cover the generic loop alone (k < 8), whole 8-lane blocks and
+// blocks plus leftover lanes. The sparse panel mixes exact 0 and -0.0
+// entries into random lanes (every fourth lane holds signed zeros
+// only), and the signed-zeros panel holds nothing else, so every lane
+// of a block takes the per-lane zero skip and an update the skip should
+// have dropped (x -= v*0 turns a -0.0 into +0.0 for v < 0) shows up
+// in the bits.
 func TestCholeskySolvePanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	systems := map[string]*Sparse{
-		"rcm-block":   randSPDSystem(rng, 30, 25), // n < 200: RCM ordering
-		"mindeg-grid": gridLaplacian(16, 16),      // n >= 200: minimum degree
+	systems := []struct {
+		name string
+		s    *Sparse
+	}{
+		{"rcm-block", randSPDSystem(rng, 30, 25)}, // n < 200: RCM ordering
+		{"mindeg-grid", gridLaplacian(16, 16)},    // n >= 200: minimum degree
 	}
-	for name, s := range systems {
-		t.Run(name, func(t *testing.T) {
+	ks := []int{24}
+	for k := 1; k <= 17; k++ {
+		ks = append(ks, k)
+	}
+	panels := []struct {
+		name  string
+		entry func(i, l int) float64
+	}{
+		{"dense", func(int, int) float64 { return rng.NormFloat64() }},
+		{"sparse", func(i, l int) float64 {
+			switch {
+			case l%4 == 2 && i%2 == 0: // signed-zero-only lane
+				return math.Copysign(0, -1)
+			case l%4 == 2 || (i+l)%3 == 0:
+				return 0
+			case (i+l)%5 == 0:
+				return math.Copysign(0, -1)
+			}
+			return rng.NormFloat64()
+		}},
+		{"signed-zeros", func(i, l int) float64 {
+			if (i+l)%2 == 0 {
+				return math.Copysign(0, -1)
+			}
+			return 0
+		}},
+	}
+	for _, sys := range systems {
+		s := sys.s
+		t.Run(sys.name, func(t *testing.T) {
 			f, err := FactorCholesky(s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			n := s.N
-			for _, k := range []int{1, 2, 5, 8} {
-				rhs := make([]float64, n*k)
-				for i := range rhs {
-					rhs[i] = rng.NormFloat64()
-				}
-				want := make([]float64, n*k)
-				scratch := make([]float64, n*k)
-				for l := 0; l < k; l++ {
-					if err := f.SolveBuffered(want[l*n:(l+1)*n], rhs[l*n:(l+1)*n], scratch[:n]); err != nil {
+			for _, p := range panels {
+				pname, entry := p.name, p.entry
+				for _, k := range ks {
+					rhs := make([]float64, n*k)
+					for i := range rhs {
+						rhs[i] = entry(i%n, i/n)
+					}
+					want := make([]float64, n*k)
+					scratch := make([]float64, n*k)
+					for l := 0; l < k; l++ {
+						if err := f.SolveBuffered(want[l*n:(l+1)*n], rhs[l*n:(l+1)*n], scratch[:n]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					dst := make([]float64, n*k)
+					if err := f.SolvePanel(dst, rhs, k, scratch); err != nil {
 						t.Fatal(err)
 					}
-				}
-				dst := make([]float64, n*k)
-				if err := f.SolvePanel(dst, rhs, k, scratch); err != nil {
-					t.Fatal(err)
-				}
-				for i := range dst {
-					if dst[i] != want[i] {
-						t.Fatalf("k=%d: panel[%d]=%g, buffered=%g", k, i, dst[i], want[i])
+					// In-place: dst aliasing rhs must give the same answer.
+					inPlace := append([]float64(nil), rhs...)
+					if err := f.SolvePanel(inPlace, inPlace, k, scratch); err != nil {
+						t.Fatal(err)
 					}
-				}
-				// In-place: dst aliasing rhs must give the same answer.
-				inPlace := append([]float64(nil), rhs...)
-				if err := f.SolvePanel(inPlace, inPlace, k, scratch); err != nil {
-					t.Fatal(err)
-				}
-				for i := range inPlace {
-					if inPlace[i] != want[i] {
-						t.Fatalf("k=%d aliased: panel[%d]=%g, buffered=%g", k, i, inPlace[i], want[i])
+					for i := range want {
+						wb := math.Float64bits(want[i])
+						if math.Float64bits(dst[i]) != wb || math.Float64bits(inPlace[i]) != wb {
+							t.Fatalf("%s k=%d lane %d row %d: panel %g, aliased %g, buffered %g",
+								pname, k, i/n, i%n, dst[i], inPlace[i], want[i])
+						}
 					}
 				}
 			}
@@ -454,12 +474,28 @@ func TestCholeskySolveMultiMatchesBuffered(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("SolvePanel allocates %.1f per call, want 0", allocs)
 	}
+	// k = 13: one register block plus five leftover lanes.
+	const k13 = 13
+	panel13 := make([]float64, n*k13)
+	scratch13 := make([]float64, n*k13)
+	for i := range panel13 {
+		panel13[i] = rng.NormFloat64()
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		if err := f.SolvePanel(panel13, panel13, k13, scratch13); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SolvePanel(k=13) allocates %.1f per call, want 0", allocs)
+	}
 }
 
 // BenchmarkSolvePanel measures the blocked k-lane solve against k
 // sequential buffered solves on the grid-ordering factorization the
-// sweep batch path exercises. Run with -benchmem: both must report
-// zero allocations.
+// sweep batch path exercises: panel8 is one register block, panel13
+// one block plus five leftover lanes on the generic loop, panel16 two
+// blocks. Run with -benchmem: all must report zero allocations.
 func BenchmarkSolvePanel(b *testing.B) {
 	s := gridLaplacian(32, 32)
 	f, err := FactorCholesky(s)
@@ -467,21 +503,27 @@ func BenchmarkSolvePanel(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := s.N
+	for _, k := range []int{8, 13, 16} {
+		rhs := make([]float64, n*k)
+		for i := range rhs {
+			rhs[i] = float64(i%11) - 5
+		}
+		b.Run(fmt.Sprintf("panel%d", k), func(b *testing.B) {
+			dst := make([]float64, n*k)
+			scratch := make([]float64, n*k)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f.SolvePanel(dst, rhs, k, scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	const k = 8
 	rhs := make([]float64, n*k)
 	for i := range rhs {
 		rhs[i] = float64(i%11) - 5
 	}
-	b.Run("panel8", func(b *testing.B) {
-		dst := make([]float64, n*k)
-		scratch := make([]float64, n*k)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := f.SolvePanel(dst, rhs, k, scratch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("sequential8", func(b *testing.B) {
 		dst := make([]float64, n*k)
 		scratch := make([]float64, n)

@@ -9,10 +9,12 @@
 //     conductance matrix with a fill-reducing ordering — reverse
 //     Cuthill-McKee for small block-mode systems, minimum degree for
 //     grid-mode systems whose package "hub" nodes would otherwise
-//     cause catastrophic fill. RC conductance systems are symmetric
-//     positive definite, and factoring once then back-solving per step
-//     turns the dense O(n³) solve into O(nnz(L)) per step. This is the
-//     only path the simulator uses.
+//     cause catastrophic fill (MinDegree keeps its elimination graph
+//     in neighbour slices with a marker array, no maps). RC
+//     conductance systems are symmetric positive definite, and
+//     factoring once then back-solving per step turns the dense O(n³)
+//     solve into O(nnz(L)) per step. This is the only path the
+//     simulator uses.
 //   - Dense LU with partial pivoting (Factor/SolveDense): the
 //     independent reference the thermal cross-validation tests check
 //     the sparse path against.
@@ -23,10 +25,17 @@
 // traversal of the triangular factors: the column-major n×k panel is
 // gathered into a lane-interleaved working layout so the forward,
 // diagonal, and backward sweeps walk L's sparsity pattern once with
-// unit-stride inner loops over the k lanes. Per lane the floating-
-// point operation sequence is exactly SolveBuffered's, so panel
-// results are bitwise identical to k scalar solves — the contract the
-// batched transient stepping in internal/thermal builds on.
+// unit-stride inner loops over the k lanes. Lanes are processed in
+// register blocks of eight: per column of L, the forward sweep loads
+// the block's eight lane values once and, when none is zero, updates
+// every row without branches (otherwise each lane keeps the scalar
+// path's zero skip, which preserves -0.0); the backward sweep keeps
+// eight accumulators in registers for the whole column. The k mod 8
+// lanes that do not fill a block run through the generic interleaved
+// loop. Per lane the floating-point operation sequence is exactly
+// SolveBuffered's, so panel results are bitwise identical to k scalar
+// solves — the contract the batched transient stepping in
+// internal/thermal builds on.
 //
 // # Buffer ownership and concurrency
 //

@@ -15,23 +15,42 @@ package linalg
 //
 // The ordering is a pure function of s's sparsity pattern: the heap
 // orders (degree, vertex) totally, with degree ties going to the higher
-// vertex id, so map iteration order never reaches the elimination order
-// and every process factors a given matrix identically. (Of the two id
-// tie-breaks, the higher id leaves less fill on the 16×16 grid models
-// of the paper's stacks.)
+// vertex id, so the order in which neighbour lists happen to be stored
+// never reaches the elimination order and every process factors a
+// given matrix identically. (Of the two id tie-breaks, the higher id
+// leaves less fill on the 16×16 grid models of the paper's stacks.)
+//
+// The elimination graph is held as per-vertex neighbour slices with a
+// marker array for membership tests, so eliminating v costs
+// O(Σ_{u∈adj(v)} (deg(u) + deg(v))) with no hashing.
 func MinDegree(s *Sparse) []int {
 	n := s.N
-	adj := make([]map[int]struct{}, n)
-	for i := 0; i < n; i++ {
-		adj[i] = make(map[int]struct{})
-	}
+	// mark[u] == stamp records membership of u in the list being built
+	// or scanned; stamps only grow, so the array is never cleared.
+	mark := make([]int, n)
+	stamp := 0
+	adj := make([][]int, n)
 	for i := 0; i < n; i++ {
 		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
 			if j := s.Col[k]; j != i {
-				adj[i][j] = struct{}{}
-				adj[j][i] = struct{}{}
+				adj[i] = append(adj[i], j)
+				adj[j] = append(adj[j], i)
 			}
 		}
+	}
+	// Symmetrizing lists both directions of every stored entry; drop
+	// the duplicates so a list's length is the vertex degree.
+	for i, nb := range adj {
+		stamp++
+		m := 0
+		for _, j := range nb {
+			if mark[j] != stamp {
+				mark[j] = stamp
+				nb[m] = j
+				m++
+			}
+		}
+		adj[i] = nb[:m]
 	}
 
 	// Lazy binary min-heap of (degree, vertex), ordered by degree, then
@@ -87,20 +106,30 @@ func MinDegree(s *Sparse) []int {
 		v := h.v
 		eliminated[v] = true
 		perm = append(perm, v)
-		nbrs := make([]int, 0, len(adj[v]))
-		for u := range adj[v] {
-			nbrs = append(nbrs, u)
-		}
+		nbrs := adj[v]
+		// Join v's neighbours into a clique: each u drops v from its
+		// list and appends the neighbours it is not yet adjacent to.
+		// Every u updates only its own list, so each new edge is
+		// recorded once from each end.
 		for _, u := range nbrs {
-			delete(adj[u], v)
-		}
-		for i, u := range nbrs {
-			for _, w := range nbrs[i+1:] {
-				if _, ok := adj[u][w]; !ok {
-					adj[u][w] = struct{}{}
-					adj[w][u] = struct{}{}
+			stamp++
+			mark[u] = stamp
+			nu := adj[u]
+			m := 0
+			for _, w := range nu {
+				if w != v {
+					mark[w] = stamp
+					nu[m] = w
+					m++
 				}
 			}
+			nu = nu[:m]
+			for _, w := range nbrs {
+				if mark[w] != stamp {
+					nu = append(nu, w)
+				}
+			}
+			adj[u] = nu
 		}
 		adj[v] = nil
 		for _, u := range nbrs {

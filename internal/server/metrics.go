@@ -53,6 +53,14 @@ type Metrics struct {
 	// period.
 	SimTicks int64 `json:"sim_ticks_total"`
 
+	// Shared sparse-factorization cache (thermal.FactorCacheStats).
+	// Unlike every other field these are process-wide: all servers and
+	// local simulations in the process share one cache. Entries is a
+	// gauge; hits and factorizations are totals.
+	FactorCacheEntries int   `json:"factor_cache_entries"`
+	FactorCacheHits    int64 `json:"factor_cache_hits_total"`
+	Factorizations     int64 `json:"factorizations_total"`
+
 	// Interactive-session accounting. Open and EnginesLive are gauges:
 	// resident sessions and how many of them still hold a live engine (a
 	// finished, killed, or evicted session frees its engine, so after a

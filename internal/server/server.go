@@ -18,6 +18,7 @@ import (
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -486,7 +487,7 @@ GET  /v1/session/{id}/log             the session's event log (JSONL; replayable
 GET  /v1/session/{id}/replay          re-stream a finished session from ?from_tick=T (checkpoint-seeded)
 POST /v1/session/replay               replay a recorded event log against a fresh engine
 GET  /healthz                         liveness
-GET  /metrics                         JSON counters (jobs, queue, cache, sessions, tick throughput)
+GET  /metrics                         JSON counters (jobs, queue, cache, sessions, ticks, factorizations)
 `)
 }
 
@@ -519,6 +520,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.SessionEvents = st.Events
 	m.SessionReplays = st.Replays
 	m.SessionsEvicted = st.Evicted
+	m.FactorCacheEntries, m.FactorCacheHits, m.Factorizations = thermal.FactorCacheStats()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

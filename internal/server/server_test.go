@@ -787,3 +787,47 @@ func TestStackScenarioValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsFactorCache checks the process-wide factorization-cache
+// fields of /metrics. The cache is shared with every other test in the
+// process, so only deltas are asserted: a cold sweep never lowers
+// factorizations_total, and re-running the same stacks under a new
+// seed (result-cache misses, so the jobs really simulate) is answered
+// from the factorization cache.
+func TestMetricsFactorCache(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Stop()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	run := func(seed int64) {
+		t.Helper()
+		spec := smallSpec()
+		spec.Seed = seed
+		resp := postSweep(t, ts, SweepRequest{Spec: spec}, "")
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Trailer.Get("X-Sweep-Status") != "complete" {
+			t.Fatalf("seed %d sweep: %d %q: %s", seed, resp.StatusCode, resp.Trailer.Get("X-Sweep-Status"), body)
+		}
+	}
+	m0 := getMetrics(t, ts)
+	run(11)
+	m1 := getMetrics(t, ts)
+	if m1.Factorizations < m0.Factorizations {
+		t.Errorf("cold sweep lowered factorizations_total: %d -> %d", m0.Factorizations, m1.Factorizations)
+	}
+	if m1.FactorCacheEntries == 0 {
+		t.Error("factor_cache_entries is 0 after a simulated sweep")
+	}
+	run(12)
+	m2 := getMetrics(t, ts)
+	if m2.SimTicks == m1.SimTicks {
+		t.Fatal("the new-seed repeat simulated nothing")
+	}
+	if m2.FactorCacheHits <= m1.FactorCacheHits {
+		t.Errorf("repeat over the same stacks left factor_cache_hits_total at %d (was %d)", m2.FactorCacheHits, m1.FactorCacheHits)
+	}
+}

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -228,5 +229,75 @@ func TestNewTransientBatchValidation(t *testing.T) {
 	short := [][]float64{make([]float64, 1)}
 	if err := batch.StepInto(short, [][]float64{uniformCorePower(s, 1)}); err == nil {
 		t.Fatal("short destination accepted")
+	}
+}
+
+// TestTransientBatchGridLanes runs the grid-mode lane counts through
+// the panel solve's register-blocked paths: 8 lanes fill one block, 13
+// lanes add five leftover lanes on the generic loop. Lanes start at
+// ambient (zero rise) and every third lane idles for the first ticks,
+// so early panels mix exact-zero and non-zero lane values within a
+// block. Every lane must match its integrator stepped alone, bit for
+// bit, on the EXP-1 and EXP-3 16×16 grid models.
+func TestTransientBatchGridLanes(t *testing.T) {
+	const dt, ticks, idleTicks = 0.1, 50, 4
+	for _, e := range []floorplan.Experiment{floorplan.EXP1, floorplan.EXP3} {
+		s := floorplan.MustBuild(e)
+		m, err := NewGridModel(s, DefaultParams(), 16, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{8, 13} {
+			t.Run(fmt.Sprintf("%v/k%d", e, k), func(t *testing.T) {
+				idle := make([]float64, s.NumBlocks())
+				power := func(l, tick int) []float64 {
+					if l%3 == 0 && tick < idleTicks {
+						return idle
+					}
+					return uniformCorePower(s, 0.5+0.25*float64(l)+0.1*float64(tick%5))
+				}
+				want := make([][]float64, k)
+				for l := range want {
+					tr, err := m.NewTransient(dt, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[l] = make([]float64, m.NumNodes)
+					for tick := 0; tick < ticks; tick++ {
+						if err := tr.StepInto(want[l], power(l, tick)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				lanes := make([]*Transient, k)
+				dsts := make([][]float64, k)
+				for l := range lanes {
+					if lanes[l], err = m.NewTransient(dt, nil); err != nil {
+						t.Fatal(err)
+					}
+					dsts[l] = make([]float64, m.NumNodes)
+				}
+				batch, err := NewTransientBatch(lanes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				powers := make([][]float64, k)
+				for tick := 0; tick < ticks; tick++ {
+					for l := range powers {
+						powers[l] = power(l, tick)
+					}
+					if err := batch.StepInto(dsts, powers); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for l := range want {
+					for i, w := range want[l] {
+						if math.Float64bits(dsts[l][i]) != math.Float64bits(w) {
+							t.Fatalf("lane %d node %d: batch %g, alone %g", l, i, dsts[l][i], w)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package thermal
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -321,6 +324,49 @@ func TestSolverKindJSON(t *testing.T) {
 	for _, bad := range []SolverKind{SolverSparse, SolverKind(42)} {
 		if _, err := json.Marshal(bad); err == nil {
 			t.Errorf("marshal accepted %v", bad)
+		}
+	}
+}
+
+// TestGridMinDegreeOrderingPinned pins the minimum-degree permutation
+// of the EXP-1 and EXP-3 16×16 transient systems (C/dt + G) to the
+// digests the map-based ordering produced before MinDegree moved to
+// neighbour slices. Grid-mode canonical streams depend on this exact
+// permutation, so any change to it is a change of results.
+func TestGridMinDegreeOrderingPinned(t *testing.T) {
+	cases := []struct {
+		e      floorplan.Experiment
+		n, nnz int
+		digest string
+	}{
+		{floorplan.EXP1, 778, 10097, "527f693d3a0add01da4c61065af63ac12ee472bc22f275bec9fa178f7106138f"},
+		{floorplan.EXP3, 1290, 30076, "812b1a0088b51ae75adebde6c791ad150fe77784f6407ee3b65aeeb5803ce924"},
+	}
+	for _, c := range cases {
+		m, err := NewGridModel(floorplan.MustBuild(c.e), DefaultParams(), 16, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdt := make([]float64, m.NumNodes)
+		for i := range cdt {
+			cdt[i] = m.C[i] / 0.1
+		}
+		a := m.G.AddDiag(cdt)
+		h := sha256.New()
+		var buf [8]byte
+		for _, p := range linalg.MinDegree(a) {
+			binary.LittleEndian.PutUint64(buf[:], uint64(p))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); a.N != c.n || got != c.digest {
+			t.Errorf("%v: n=%d ordering %s, want n=%d ordering %s", c.e, a.N, got, c.n, c.digest)
+		}
+		f, err := linalg.FactorCholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.NNZ() != c.nnz {
+			t.Errorf("%v: nnz(L)=%d, want %d", c.e, f.NNZ(), c.nnz)
 		}
 	}
 }
