@@ -5,13 +5,14 @@
 # regressions. Used by CI to produce BENCH_ci.json and to (re)generate
 # the committed baseline:
 #
-#   go test -run xxx -bench 'SteadyState|Transient|Sweep|Fig|RunTick|SimulatedSecond|SolvePanel|CholeskyFactorGrid|SnapshotFork|MPCDecision' \
-#     -benchtime 1x -benchmem -count 1 . ./internal/sim ./internal/linalg \
+#   go test -run xxx -bench 'SteadyState|Transient|Sweep|Fig|RunTick|SimulatedSecond|SolvePanel|CholeskyFactorGrid|SnapshotFork|MPCDecision|PowerComputeInto|StreamDamage' \
+#     -benchtime 1x -benchmem -count 1 . ./internal/sim ./internal/linalg ./internal/power ./internal/reliability \
 #     | sh .github/bench_to_json.sh > .github/bench_baseline.json
 #
-# (./internal/sim carries BenchmarkRunTick and ./internal/linalg
-# BenchmarkSolvePanel; omitting them regenerates a baseline without
-# the allocation-free per-tick and panel-solve gates.)
+# (./internal/sim carries BenchmarkRunTick, ./internal/linalg
+# BenchmarkSolvePanel, ./internal/power BenchmarkPowerComputeInto and
+# ./internal/reliability BenchmarkStreamDamage; omitting them
+# regenerates a baseline without their allocation-free gates.)
 awk '
 BEGIN { printf "{\n  \"benchmarks\": [" ; n = 0 }
 $1 ~ /^Benchmark/ && $4 == "ns/op" {

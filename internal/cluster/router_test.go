@@ -45,6 +45,7 @@ type fakeBackend struct {
 	ts       *httptest.Server
 	dieAfter int32 // records to stream before dying; -1: healthy forever
 	died     atomic.Bool
+	reject   atomic.Bool // refuse every sweep with 400, as for a bad request
 
 	mu     sync.Mutex
 	served map[string]int // key -> times streamed by this backend
@@ -62,6 +63,10 @@ func newFakeBackend(t *testing.T, dieAfter int32) *fakeBackend {
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
 		if b.died.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		if b.reject.Load() {
+			http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
 			return
 		}
 		var req client.Request
@@ -248,19 +253,24 @@ func TestRouterFailoverMidSweep(t *testing.T) {
 // backend rejecting the request (4xx) is not a death to route around —
 // every backend would reject the same request — so the stream fails.
 func TestRouterAbortsOnPermanentError(t *testing.T) {
-	reject := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
-	}))
-	t.Cleanup(reject.Close)
-	ok := newFakeBackend(t, -1)
-
-	r, err := New(Config{Backends: []string{reject.URL, ok.ts.URL}, NewClient: tightClient, ProbeInterval: time.Minute})
-	if err != nil {
-		t.Fatal(err)
+	spec := testSpec()
+	backends := []*fakeBackend{newFakeBackend(t, -1), newFakeBackend(t, -1)}
+	nodes := []string{backends[0].ts.URL, backends[1].ts.URL}
+	// Ownership hashes the backends' random URLs, so a fixed choice of
+	// rejecting backend would sometimes own no key and never be asked.
+	// The busier of two owns at least half of the keys.
+	owned := make([]int, len(backends))
+	for _, j := range spec.Expand() {
+		owned[Owner(nodes, j.Key())]++
 	}
-	t.Cleanup(r.Close)
+	rejecting := 0
+	if owned[1] > owned[0] {
+		rejecting = 1
+	}
+	backends[rejecting].reject.Store(true) // set before the router sends any request
 
-	_, err = r.Stream(context.Background(), client.Request{Spec: testSpec()}, func(sweep.Record) error { return nil })
+	r := newTestRouter(t, backends...)
+	_, err := r.Stream(context.Background(), client.Request{Spec: spec}, func(sweep.Record) error { return nil })
 	if err == nil {
 		t.Fatal("router swallowed a permanent backend rejection")
 	}

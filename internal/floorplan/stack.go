@@ -75,9 +75,10 @@ type Stack struct {
 	// configuration. Built from StackSpec.Interfaces.
 	Interfaces []InterfaceProps
 
-	blocks []*Block // flattened, cached
-	cores  []*Block // CoreID-indexed, cached
-	l2s    []*Block // L2ID-indexed, cached
+	blocks   []*Block // flattened, cached
+	cores    []*Block // CoreID-indexed, cached
+	l2s      []*Block // L2ID-indexed, cached
+	memLayer []bool   // layer-indexed: true when the layer has no cores
 }
 
 // InterfaceProps are the resolved physical properties of one bonding
@@ -121,8 +122,10 @@ func (s *Stack) Interface(i int) InterfaceProps {
 // finish flattens and indexes the stack's blocks; builders call it once.
 func (s *Stack) finish() error {
 	s.blocks = nil
+	s.memLayer = make([]bool, len(s.Layers))
 	numCores, numL2 := 0, 0
-	for _, l := range s.Layers {
+	for li, l := range s.Layers {
+		s.memLayer[li] = true
 		for _, b := range l.Blocks {
 			s.blocks = append(s.blocks, b)
 			if b.FreqScale == 0 {
@@ -133,6 +136,7 @@ func (s *Stack) finish() error {
 			}
 			if b.IsCore() {
 				numCores++
+				s.memLayer[li] = false
 			}
 			if b.Kind == KindL2 {
 				numL2++
@@ -182,6 +186,11 @@ func (s *Stack) NumCores() int { return len(s.cores) }
 
 // L2s returns the stack's L2 banks indexed by L2ID.
 func (s *Stack) L2s() []*Block { return s.l2s }
+
+// IsMemoryLayer reports whether layer i carries no cores (a memory
+// tier). finish computes the flags once, so the per-tick power loop
+// reads one bool per filler block instead of scanning the layer.
+func (s *Stack) IsMemoryLayer(i int) bool { return s.memLayer[i] }
 
 // NumLayers returns the number of silicon layers.
 func (s *Stack) NumLayers() int { return len(s.Layers) }

@@ -45,37 +45,71 @@ type wedge struct {
 	size int
 }
 
-// push expires entries outside the window ending at sample s, drops
-// dominated entries from the back, and appends (s, t). keepMax selects
-// the max-deque order (back values <= t are dominated); otherwise the
-// min-deque order.
-func (w *wedge) push(s, window int, t float64, keepMax bool) {
-	cap := len(w.val)
-	for w.size > 0 && w.idx[w.head] <= s-window {
-		w.head++
-		if w.head == cap {
-			w.head = 0
+// expire drops front entries that fall outside the window ending at
+// sample s.
+func (w *wedge) expire(s, window int) {
+	idx := w.idx
+	head, size := w.head, w.size
+	for size > 0 && idx[head] <= s-window {
+		head++
+		if head == len(idx) {
+			head = 0
 		}
-		w.size--
+		size--
 	}
-	for w.size > 0 {
-		back := w.head + w.size - 1
-		if back >= cap {
-			back -= cap
+	w.head, w.size = head, size
+}
+
+// pushMax expires entries outside the window ending at sample s, drops
+// back entries dominated by t in the max-deque order (values <= t), and
+// appends (s, t).
+func (w *wedge) pushMax(s, window int, t float64) {
+	w.expire(s, window)
+	val := w.val
+	n := len(val)
+	head, size := w.head, w.size
+	for size > 0 {
+		back := head + size - 1
+		if back >= n {
+			back -= n
 		}
-		if v := w.val[back]; (keepMax && v <= t) || (!keepMax && v >= t) {
-			w.size--
-		} else {
+		if !(val[back] <= t) {
 			break
 		}
+		size--
 	}
-	pos := w.head + w.size
-	if pos >= cap {
-		pos -= cap
+	w.append(head, size, s, t)
+}
+
+// pushMin is pushMax for the min-deque order: back values >= t are
+// dominated.
+func (w *wedge) pushMin(s, window int, t float64) {
+	w.expire(s, window)
+	val := w.val
+	n := len(val)
+	head, size := w.head, w.size
+	for size > 0 {
+		back := head + size - 1
+		if back >= n {
+			back -= n
+		}
+		if !(val[back] >= t) {
+			break
+		}
+		size--
+	}
+	w.append(head, size, s, t)
+}
+
+// append stores (s, t) behind the size live entries starting at head.
+func (w *wedge) append(head, size, s int, t float64) {
+	pos := head + size
+	if pos >= len(w.val) {
+		pos -= len(w.val)
 	}
 	w.val[pos] = t
 	w.idx[pos] = s
-	w.size++
+	w.size = size + 1
 }
 
 // front returns the current window extremum.
@@ -109,8 +143,8 @@ func (m *CycleMeter) Record(coreTempsC []float64) error {
 	m.tick++
 	w := m.WindowTicks
 	for c, t := range coreTempsC {
-		m.maxT[c].push(m.tick, w, t, true)
-		m.minT[c].push(m.tick, w, t, false)
+		m.maxT[c].pushMax(m.tick, w, t)
+		m.minT[c].pushMin(m.tick, w, t)
 	}
 	if m.tick <= w {
 		return nil // wait for a full window before judging cycles

@@ -104,11 +104,14 @@ func (g *GradientMeter) Record(blockTempsC []float64) error {
 	}
 	worst := 0.0
 	for _, idx := range g.layerIdx {
+		// The builtin min/max order NaN, ±0 and ±Inf as math.Min/Max
+		// do and compile inline; they may return a different NaN
+		// payload, which the d > worst test below discards.
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, bi := range idx {
 			t := blockTempsC[bi]
-			lo = math.Min(lo, t)
-			hi = math.Max(hi, t)
+			lo = min(lo, t)
+			hi = max(hi, t)
 		}
 		if d := hi - lo; d > worst {
 			worst = d

@@ -117,23 +117,17 @@ type ChipInput struct {
 	AmbientC    float64
 }
 
-// Compute returns the per-block power vector (W) for the stack, in stack
-// block order. The L2 activity of a bank follows the average memory
+// ComputeInto fills a caller-owned dst of length stack.NumBlocks() with
+// the per-block power vector (W), in stack block order. dst is fully
+// overwritten; the hot tick loop reuses one power buffer across the
+// whole run. The L2 activity of a bank follows the average memory
 // activity of all cores (the T1 interleaves L2 banks across cores), and
 // the crossbar follows active-core count and total memory traffic, as
 // described in Section IV-B.
-func (m Model) Compute(stack *floorplan.Stack, in ChipInput) ([]float64, error) {
-	out := make([]float64, stack.NumBlocks())
-	if err := m.ComputeInto(out, stack, in); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ComputeInto is Compute writing into a caller-owned dst of length
-// stack.NumBlocks(). dst is fully overwritten; the hot tick loop reuses
-// one power buffer across the whole run.
-func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) error {
+//
+// Values shared by every block are computed once per call; see the
+// package documentation's "Per-call hoisting".
+func (m *Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) error {
 	if len(in.Cores) != stack.NumCores() {
 		return fmt.Errorf("power: got %d core inputs for %d cores", len(in.Cores), stack.NumCores())
 	}
@@ -155,13 +149,18 @@ func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) 
 	}
 	activeFrac := float64(activeCores) / float64(len(in.Cores))
 	memTraffic = math.Min(memTraffic/float64(len(in.Cores))*2, 1) // saturating
+	l2W := m.Cache.Power(memTraffic)
+	xbarW := m.Xbar.Power(activeFrac, memTraffic)
 
+	leak := m.LeakageEnabled
+	g := m.Leak.curve()
+	base := m.Leak.BaseDensityWPerMM2
 	for bi, b := range stack.Blocks() {
 		var p float64
 		var volt float64 = 1
 		switch b.Kind {
 		case floorplan.KindCore:
-			ci := in.Cores[b.CoreID]
+			ci := &in.Cores[b.CoreID]
 			// PowerScale models heterogeneous tiers (smaller/simpler
 			// cores draw proportionally less dynamic power); it is
 			// exactly 1.0 for homogeneous stacks, which multiplies to
@@ -172,22 +171,28 @@ func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) 
 				volt = 0.3 // power-gated rail retains only a keeper voltage
 			}
 		case floorplan.KindL2:
-			p = m.Cache.Power(memTraffic)
+			p = l2W
 		case floorplan.KindCrossbar:
-			p = m.Xbar.Power(activeFrac, memTraffic)
+			p = xbarW
 		case floorplan.KindOther:
-			if onMemoryLayer(stack, b) {
+			if stack.IsMemoryLayer(b.Layer) {
 				p = m.MemOtherW
 			} else {
 				p = m.OtherW
 			}
 		}
-		if m.LeakageEnabled {
+		if leak {
 			temp := in.AmbientC
 			if in.BlockTempsC != nil {
 				temp = in.BlockTempsC[bi]
 			}
-			p += m.Leak.BlockLeakage(b.Area(), temp, volt) * leakDensityFactor(b.Kind)
+			// Leakage of the block's area at temp and supply volt; a
+			// block without area leaks nothing.
+			var w float64
+			if area := b.Area(); !(area <= 0) {
+				w = base * area * g.at(temp) * volt * volt
+			}
+			p += w * leakDensityFactor(b.Kind)
 		}
 		dst[bi] = p
 	}
@@ -213,18 +218,6 @@ func leakDensityFactor(k floorplan.BlockKind) float64 {
 	default: // mixed "other" regions
 		return 0.25
 	}
-}
-
-// onMemoryLayer reports whether the block sits on a layer with no cores.
-// It scans instead of calling Layer.Cores, which allocates; this runs per
-// filler block inside the per-tick power computation.
-func onMemoryLayer(stack *floorplan.Stack, b *floorplan.Block) bool {
-	for _, blk := range stack.Layers[b.Layer].Blocks {
-		if blk.IsCore() {
-			return false
-		}
-	}
-	return true
 }
 
 // Total sums a block power vector.

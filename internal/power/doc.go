@@ -16,10 +16,28 @@
 // engine converts them to frequency scales for the scheduler and
 // voltage/frequency factors for this model.
 //
+// # Per-call hoisting
+//
+// ComputeInto runs once per simulated tick, and again for every tick
+// of every MPC rollout lane, so it does per block only what differs
+// per block. It has a pointer receiver, so the Model is not copied
+// per call. Once per call it computes the chip-wide activity
+// summaries, the single L2 bank power and crossbar power every such
+// block shares, and the leakage curve's constants (the parabola's
+// vertex -C1/(2·C2) and the GCap default, held by the unexported
+// tempCurve, which is the one definition of g(T)). Whether a filler
+// block sits on a core-free memory layer is a flag floorplan.Stack
+// computes once when it is built. Each block's own arithmetic keeps
+// the operation order of the per-block formulas — core power ×
+// PowerScale; leakage Base·area·g·v·v, then × the density factor — so
+// the vector is bit for bit what evaluating each block on its own
+// gives (TestComputeIntoMatchesReference keeps that per-block form as
+// its oracle).
+//
 // # Buffer ownership and concurrency
 //
 // ComputeInto writes into a caller-owned block-power slice and retains
 // neither it nor the input temperature slice — the tick loop's
-// allocation contract depends on that. Model values are plain data;
-// distinct simulations use distinct copies and nothing here locks.
+// allocation contract depends on that. It only reads the Model and
+// the stack; nothing here locks.
 package power

@@ -77,9 +77,20 @@ func (m EMModel) Validate() error {
 // RateFactor returns the instantaneous wear rate at tempC relative to
 // the reference temperature (1.0 at RefC, >1 hotter, <1 cooler).
 func (m EMModel) RateFactor(tempC float64) float64 {
-	t := tempC + 273.15
-	ref := m.RefC + 273.15
-	return math.Exp(m.ActivationEV / boltzmannEV * (1/ref - 1/t))
+	ea, invRef := m.rateConsts()
+	return rateFactor(ea, invRef, tempC)
+}
+
+// rateConsts returns the temperature-independent parts of RateFactor:
+// Ea/k_B and 1/T_ref, so per-tick callers compute them once per sample
+// vector instead of once per signal.
+func (m EMModel) rateConsts() (eaOverK, invRef float64) {
+	return m.ActivationEV / boltzmannEV, 1 / (m.RefC + 273.15)
+}
+
+// rateFactor is RateFactor with its constants resolved by rateConsts.
+func rateFactor(eaOverK, invRef, tempC float64) float64 {
+	return math.Exp(eaOverK * (invRef - 1/(tempC+273.15)))
 }
 
 // Assessor accumulates per-core reliability stress over a simulation:

@@ -9,7 +9,8 @@ import (
 // stacks grow only on sequences of strictly widening reversals, which
 // real temperature signals produce a handful of at a time; 64 leaves
 // two orders of magnitude of headroom while keeping the per-signal
-// footprint at one cache line's worth of floats.
+// footprint at 1 KB (64 turning points plus their cached half-cycle
+// damages, 512 B each).
 const streamCap = 64
 
 // Stream is a streaming rainflow cycle counter with immediate
@@ -31,7 +32,11 @@ const streamCap = 64
 type Stream struct {
 	model CyclingModel
 
-	pts     [streamCap]float64 // unclosed turning points, oldest first
+	pts [streamCap]float64 // unclosed turning points, oldest first
+	// half[i] is the half-cycle damage of the residue leg pts[i-1] →
+	// pts[i] (0 for a flat leg), computed once when pts[i] is
+	// committed; half[0] is unused.
+	half    [streamCap]float64
 	n       int
 	last    float64
 	dir     int // -1 falling, +1 rising, 0 unknown
@@ -41,9 +46,15 @@ type Stream struct {
 	cycles       int     // count of extracted full cycles
 }
 
-// Init resets the stream to empty with the given cycling model.
+// Init resets the stream to empty with the given cycling model. The
+// point and damage arrays are read only below n, so they keep their
+// stale contents: clearing 1 KB per stream would dominate the tracker
+// reset MPC rollout lanes do per candidate.
 func (s *Stream) Init(m CyclingModel) {
-	*s = Stream{model: m}
+	s.model = m
+	s.n, s.dir, s.cycles = 0, 0, 0
+	s.last, s.closedDamage = 0, 0
+	s.started = false
 }
 
 // Push adds one temperature sample. It is allocation-free.
@@ -71,18 +82,29 @@ func (s *Stream) Push(t float64) {
 	s.collapse()
 }
 
-// commit appends a turning point, retiring the oldest as a half cycle
-// if the fixed stack is full.
+// commit appends a turning point and caches its residue leg's
+// half-cycle damage, retiring the oldest point as a half cycle if the
+// fixed stack is full.
 func (s *Stream) commit(t float64) {
 	if s.n == streamCap {
-		if d := math.Abs(s.pts[1] - s.pts[0]); d > 0 {
-			s.closedDamage += s.model.CycleDamage(d) / 2
-		}
+		s.closedDamage += s.half[1]
 		copy(s.pts[:], s.pts[1:])
+		copy(s.half[:], s.half[1:])
 		s.n--
 	}
 	s.pts[s.n] = t
+	s.half[s.n] = s.halfDamage(t - s.pts[s.n-1])
 	s.n++
+}
+
+// halfDamage is the half-cycle damage of a residue leg spanning d
+// (signed); a flat or NaN leg contributes +0, which leaves any damage
+// sum unchanged (sums start at +0, so none is ever -0).
+func (s *Stream) halfDamage(d float64) float64 {
+	if amp := math.Abs(d); amp > 0 {
+		return s.model.CycleDamage(amp) / 2
+	}
+	return 0
 }
 
 // collapse applies the 4-point rule over the committed turning points
@@ -111,23 +133,16 @@ func (s *Stream) ClosedDamage() float64 { return s.closedDamage }
 
 // Damage returns the total accumulated damage: closed cycles plus the
 // unclosed residue counted as half cycles, per the usual rainflow
-// convention. It walks the fixed turning-point stack and allocates
-// nothing, so policies may call it every tick.
+// convention. It sums the committed legs' cached damages and evaluates
+// only the live last leg, allocating nothing, so policies may call it
+// every tick.
 func (s *Stream) Damage() float64 {
 	d := s.closedDamage
-	prev := math.NaN()
-	for i := 0; i < s.n; i++ {
-		if i > 0 {
-			if amp := math.Abs(s.pts[i] - prev); amp > 0 {
-				d += s.model.CycleDamage(amp) / 2
-			}
-		}
-		prev = s.pts[i]
+	for i := 1; i < s.n; i++ {
+		d += s.half[i]
 	}
 	if s.started && s.n > 0 {
-		if amp := math.Abs(s.last - prev); amp > 0 {
-			d += s.model.CycleDamage(amp) / 2
-		}
+		d += s.halfDamage(s.last - s.pts[s.n-1])
 	}
 	return d
 }
@@ -276,9 +291,10 @@ func (t *Tracker) Observe(tempsC []float64) error {
 			t.streams[i].Init(t.Cycling)
 		}
 	}
+	ea, invRef := t.EM.rateConsts()
 	for i, c := range tempsC {
 		t.streams[i].Push(c)
-		t.emSum[i] += t.EM.RateFactor(c)
+		t.emSum[i] += rateFactor(ea, invRef, c)
 		if c > t.maxC[i] {
 			t.maxC[i] = c
 		}
